@@ -7,8 +7,8 @@ from .costmodel import (DomainError, EvPowertrain, IcevPowertrain,
                         cafc_compliance_cost, government_subsidy_ev, lcod,
                         lifecycle_premium, production_cost_ev,
                         production_cost_icev, production_premium, tco_npv)
-from .diffusion import (AdoptionState, BassParams, bass_step,
-                        closed_form_cumulative, decision_coefficient, simulate)
+from .diffusion import (AdoptionState, BassParams, closed_form_cumulative,
+                        decision_coefficient, flows, simulate)
 from .fitting import (FitConfig, FitResult, ObservationSeries, compare_models,
                       ga_fit, objective, r_squared)
 from .trajectory import (PremiumPoint, PremiumSeries, ScenarioSchedule,

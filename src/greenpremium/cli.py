@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import secrets
 import sys
 import time
@@ -108,6 +109,8 @@ def load_sales_csv(path: str) -> ObservationSeries:
                 sales = float(parts[1])
             except ValueError:
                 raise CliError(f"{path}:{lineno}: malformed row {line!r}") from None
+            if not math.isfinite(sales):
+                raise CliError(f"{path}:{lineno}: non-finite sales")
             if sales < 0:
                 raise CliError(f"{path}:{lineno}: negative sales")
             if year in seen:
@@ -236,15 +239,20 @@ def cmd_parity(args) -> None:
     write_csv(args.out, manifest, ["premium", "parity_year"], rows)
 
 
-def cmd_fit(args) -> None:
+def _sales_and_premiums(args, with_premiums: bool = True
+                        ) -> tuple[ObservationSeries, tj.PremiumSeries | None]:
+    """The sales file, and the scenario's premium series over its years."""
     obs = load_sales_csv(args.data)
+    if not with_premiums:
+        return obs, None
+    sched = config.load_schedule(args.scenario)
+    return obs, tj.premium_series(sched, range(obs.years[0], obs.years[-1] + 1))
+
+
+def cmd_fit(args) -> None:
+    obs, premiums = _sales_and_premiums(args, with_premiums=not args.vanilla)
     seed = _resolve_seed(args)
     cfg = _fit_config(args, seed)
-    premiums = None
-    if not args.vanilla:
-        sched = config.load_schedule(args.scenario)
-        years = range(obs.years[0], obs.years[-1] + 1)
-        premiums = tj.premium_series(sched, years)
     result = ga_fit(obs, premiums, cfg)
     header, rows = _fit_rows(result)
     manifest = _manifest(args, "fit", seed=seed,
@@ -298,12 +306,9 @@ def cmd_sensitivity(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    obs = load_sales_csv(args.data)
+    obs, premiums = _sales_and_premiums(args)
     seed = _resolve_seed(args)
     cfg = _fit_config(args, seed)
-    sched = config.load_schedule(args.scenario)
-    years = range(obs.years[0], obs.years[-1] + 1)
-    premiums = tj.premium_series(sched, years)
     vanilla, generalized = compare_models(obs, premiums, cfg)
     rows = []
     for label, res in (("vanilla", vanilla), ("generalized", generalized)):

@@ -298,12 +298,16 @@ def tco_npv(sc: VehicleScenario, kind: VehicleKind) -> float:
     return total
 
 
-def lifecycle_premium(sc: VehicleScenario) -> float:
-    """Relative gap in lifecycle NPV cost, EV vs ICEV."""
-    icev_tco = tco_npv(sc, VehicleKind.ICEV)
+def tco_premium(ev_tco: float, icev_tco: float) -> float:
+    """Relative gap in lifecycle NPV cost (EV - ICEV) / ICEV."""
     if icev_tco <= 0:
         raise DomainError("lifecycle premium undefined: ICEV TCO must be positive")
-    return (tco_npv(sc, VehicleKind.EV) - icev_tco) / icev_tco
+    return (ev_tco - icev_tco) / icev_tco
+
+
+def lifecycle_premium(sc: VehicleScenario) -> float:
+    """Relative gap in lifecycle NPV cost, EV vs ICEV."""
+    return tco_premium(tco_npv(sc, VehicleKind.EV), tco_npv(sc, VehicleKind.ICEV))
 
 
 def lcod(tco: float, up: UsageProfile) -> float:

@@ -1,11 +1,12 @@
 """Bass-style adoption dynamics, with an optional cost-gap response term.
 
-The annual recursion is
-    n(t) = max(0, (p*(m - N) + q*(N/m)*(m - N)) * x(t))
-    N(t+1) = min(m, N(t) + n(t))
+The annual recursion, written once in `flows`, is
+    n(t) = min(m - N, max(0, (p*(m - N) + q*(N/m)*(m - N)) * x(t)))
+    N(t+1) = N(t) + n(t)
 where x(t) = 1 + beta * lifecycle_premium(t) when a premium series is
 supplied and 1 otherwise. Large positive premiums with beta < 0 can push
 x(t) negative; flows are clamped at zero rather than allowing disadoption.
+This is the generalized Bass model (Bass, Krishnan & Jain 1994).
 
 Units follow the calibration data: vehicles are counted in thousands.
 """
@@ -14,7 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import accumulate
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .trajectory import PremiumSeries
@@ -56,19 +60,31 @@ def decision_coefficient(delta_p3: float, beta: float) -> float:
     return 1.0 + delta_p3 * beta
 
 
-def bass_step(params: BassParams, cumulative: float, x: float = 1.0) -> float:
-    """One annual adoption increment, clamped at zero."""
-    remaining = params.m - cumulative
-    flow = (params.p * remaining
-            + params.q * (cumulative / params.m) * remaining) * x
-    return max(0.0, flow)
+def flows(p, q, m, beta, dp3, initial: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The adoption recursion for a batch of parameter rows.
 
-
-def raw_bass_step(params: BassParams, cumulative: float, x: float = 1.0) -> float:
-    """The pre-clamp flow; used by the fitting objective's positivity penalty."""
-    remaining = params.m - cumulative
-    return (params.p * remaining
-            + params.q * (cumulative / params.m) * remaining) * x
+    p, q, m and beta are scalars or equal-length arrays, one value per row;
+    dp3 holds one lifecycle premium per simulated year (zeros give x = 1).
+    Every row starts from min(initial, m). Returns (flows, raw), each of
+    shape (rows, years): the clamped annual flows and the pre-clamp flows.
+    All arithmetic is elementwise, so a row's result does not depend on the
+    other rows in the batch.
+    """
+    p, q, m, beta = np.broadcast_arrays(*np.atleast_1d(p, q, m, beta))
+    dp3 = np.asarray(dp3, dtype=float)
+    # One block, not two, so the allocator reuses it instead of mapping fresh pages.
+    raw, out = np.empty((2, len(dp3), len(p)))
+    cumulative = np.minimum(initial, m).astype(float)
+    for r, f, dp3_t in zip(raw, out, dp3):
+        # r = (p*(m - N) + q*(N/m)*(m - N)) * x in place, rounding as the formula does
+        remaining = m - cumulative
+        np.multiply(q, cumulative / m, out=r)
+        r *= remaining
+        r += p * remaining
+        r *= decision_coefficient(dp3_t, beta)
+        np.minimum(np.maximum(r, 0.0, out=f), remaining, out=f)
+        cumulative += f
+    return out.T, raw.T
 
 
 def simulate(params: BassParams,
@@ -84,22 +100,18 @@ def simulate(params: BassParams,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    years = range(start_year, start_year + horizon)
     if premium_by_year is not None:
-        missing = [y for y in range(start_year, start_year + horizon)
-                   if y not in premium_by_year.years]
+        missing = [y for y in years if y not in premium_by_year.years]
         if missing:
             raise ValueError(f"premium series missing years {missing}")
-    states = []
-    cumulative = min(initial_cumulative, params.m)
-    for year in range(start_year, start_year + horizon):
-        x = 1.0
-        if premium_by_year is not None:
-            x = decision_coefficient(premium_by_year.lifecycle(year), params.beta)
-        flow = bass_step(params, cumulative, x)
-        flow = min(flow, params.m - cumulative)
-        states.append(AdoptionState(year=year, cumulative=cumulative, new_adopters=flow))
-        cumulative += flow
-    return tuple(states)
+    dp3 = [0.0 if premium_by_year is None else premium_by_year.lifecycle(y)
+           for y in years]
+    flow, _ = flows(params.p, params.q, params.m, params.beta, dp3, initial_cumulative)
+    row = flow[0].tolist()
+    entering = accumulate(row, initial=min(initial_cumulative, params.m))
+    return tuple(AdoptionState(year=year, cumulative=cumulative, new_adopters=flow)
+                 for year, cumulative, flow in zip(years, entering, row))
 
 
 def closed_form_cumulative(params: BassParams, t: float) -> float:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .diffusion import BassParams, simulate
+from .diffusion import BassParams, flows, simulate
 from .trajectory import PremiumSeries
 
 
@@ -100,60 +100,46 @@ class FitResult:
     history: tuple[float, ...]
 
 
-def _gene_names(with_beta: bool, cfg: FitConfig) -> list[str]:
-    names = ["p", "q"]
-    if with_beta:
-        names.append("beta")
-    if cfg.m_mode == "free":
-        names.append("m")
-    return names
+class _FitProblem:
+    """What every evaluation of one fit shares, built once per fit.
 
+    Genes are p, q, then beta when a premium series is given, then m unless
+    it is fixed at `m_value`. Without premiums dp3 is all zeros, so x = 1.
+    """
 
-def _premium_vector(premiums: PremiumSeries | None, years: Sequence[int],
-                    need: bool) -> np.ndarray | None:
-    if premiums is None:
-        if need:
-            raise FitError("a premium series is required to fit beta")
-        return None
-    missing = [y for y in years if y not in premiums.years]
-    if missing:
-        raise FitError(f"premium series missing years {missing}")
-    return np.array([premiums.lifecycle(y) for y in years])
+    def __init__(self, obs: ObservationSeries, premiums: PremiumSeries | None,
+                 cfg: FitConfig, m_value: float | None) -> None:
+        if len(obs) == 0:
+            raise FitError("no observations")
+        years = obs.years
+        sim_years = range(years[0], years[-1] + 1)
+        if premiums is not None:
+            missing = [y for y in sim_years if y not in premiums.years]
+            if missing:
+                raise FitError(f"premium series missing years {missing}")
+        self.dp3 = np.array([0.0 if premiums is None else premiums.lifecycle(y)
+                             for y in sim_years])
+        self.genes = (("p", "q") + (("beta",) if premiums is not None else ())
+                      + (("m",) if m_value is None else ()))
+        self.m_value = m_value
+        self.penalty_weight = cfg.penalty_weight
+        self.terms = [(y - years[0], cfg.late_weight if y >= cfg.late_weight_from_year
+                       else 1.0, seen) for y, seen in obs.points]
 
-
-def _evaluate(genomes: np.ndarray, gene_names: Sequence[str],
-              obs: ObservationSeries, dp3: np.ndarray | None,
-              cfg: FitConfig) -> np.ndarray:
-    """Weighted SSE + positivity penalty for each genome row."""
-    idx = {g: i for i, g in enumerate(gene_names)}
-    p = genomes[:, idx["p"]]
-    q = genomes[:, idx["q"]]
-    beta = genomes[:, idx["beta"]] if "beta" in idx else np.zeros(len(genomes))
-    m = genomes[:, idx["m"]] if "m" in idx else np.full(len(genomes), cfg.m_value)
-
-    years = obs.years
-    sim_years = range(years[0], years[-1] + 1)
-    obs_cols = {y: i for i, y in enumerate(sim_years)}
-    weights = np.array([cfg.late_weight if y >= cfg.late_weight_from_year else 1.0
-                        for y in years])
-    observed = np.array(obs.sales)
-
-    cumulative = np.zeros(len(genomes))
-    total = np.zeros(len(genomes))
-    penalty = np.zeros(len(genomes))
-    flows = np.empty((len(genomes), len(sim_years)))
-    for col, year in enumerate(sim_years):
-        x = 1.0 if dp3 is None else 1.0 + beta * dp3[col]
-        remaining = m - cumulative
-        raw = (p * remaining + q * (cumulative / m) * remaining) * x
-        flow = np.minimum(np.maximum(raw, 0.0), remaining)
-        flows[:, col] = flow
-        penalty += np.square(np.maximum(-raw, 0.0))
-        cumulative = cumulative + flow
-    for year, w, seen in zip(years, weights, observed):
-        resid = flows[:, obs_cols[year]] - seen
-        total += w * np.square(resid)
-    return total + cfg.penalty_weight * penalty
+    def evaluate(self, genomes: np.ndarray) -> np.ndarray:
+        """Weighted SSE + positivity penalty for each genome row."""
+        cols = dict(zip(self.genes, genomes.T))
+        zeros = np.zeros(len(genomes))
+        flow, raw = flows(cols["p"], cols["q"], cols.get("m", self.m_value),
+                          cols.get("beta", zeros), self.dp3)
+        # Sums run year by year; a pairwise sum(axis=1) would move last bits.
+        total = zeros.copy()
+        for col, weight, seen in self.terms:
+            total += weight * np.square(flow[:, col] - seen)
+        penalty = zeros.copy()
+        for year_raw in raw.T:
+            penalty += np.square(np.maximum(-year_raw, 0.0))
+        return total + self.penalty_weight * penalty
 
 
 def objective(params: BassParams, obs: ObservationSeries,
@@ -164,19 +150,11 @@ def objective(params: BassParams, obs: ObservationSeries,
     w(year) = late_weight from late_weight_from_year onward, plus
     penalty_weight times the squared negative part of each pre-clamp flow.
     """
-    if len(obs) == 0:
-        raise FitError("no observations")
-    years = obs.years
-    sim_years = list(range(years[0], years[-1] + 1))
-    dp3 = _premium_vector(premiums, sim_years, need=params.beta != 0.0)
-    genome = [params.p, params.q]
-    names = ["p", "q"]
-    if premiums is not None:
-        genome.append(params.beta)
-        names.append("beta")
-    cfg_fixed = FitConfig(**{**cfg.__dict__, "m_mode": "fixed", "m_value": params.m,
-                             "bounds": dict(cfg.bounds)})
-    return float(_evaluate(np.array([genome]), names, obs, dp3, cfg_fixed)[0])
+    problem = _FitProblem(obs, premiums, cfg, m_value=params.m)
+    if premiums is None and params.beta != 0.0:
+        raise FitError("a premium series is required to fit beta")
+    genome = [params.p, params.q] + ([params.beta] if premiums is not None else [])
+    return float(problem.evaluate(np.array([genome]))[0])
 
 
 def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
@@ -187,7 +165,9 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     if all(s == 0 for s in obs.sales):
         raise FitError("degenerate fit: all observations are zero")
 
-    gene_names = _gene_names(with_beta=premiums is not None, cfg=cfg)
+    problem = _FitProblem(obs, premiums, cfg,
+                          m_value=cfg.m_value if cfg.m_mode == "fixed" else None)
+    gene_names = problem.genes
     for g in gene_names:
         if g not in cfg.bounds:
             raise FitError(f"missing bounds for parameter {g!r}")
@@ -195,13 +175,9 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     hi = np.array([cfg.bounds[g][1] for g in gene_names])
     sigma = 0.1 * (hi - lo)
 
-    years = obs.years
-    sim_years = list(range(years[0], years[-1] + 1))
-    dp3 = _premium_vector(premiums, sim_years, need=premiums is not None)
-
     rng = np.random.default_rng(cfg.rng_seed)
     pop = lo + rng.random((cfg.population_size, len(gene_names))) * (hi - lo)
-    fitness = _evaluate(pop, gene_names, obs, dp3, cfg)
+    fitness = problem.evaluate(pop)
 
     history: list[float] = []
     best_obj = float(np.min(fitness))
@@ -238,10 +214,9 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
         children = np.where(mut_mask, children + mut_noise, children)
         children = np.clip(children, lo, hi)
 
+        # Rows evaluate independently, so the elite keeps its fitness.
         pop = np.vstack([elite[None, :], children])
-        fitness = np.concatenate([
-            _evaluate(elite[None, :], gene_names, obs, dp3, cfg),
-            _evaluate(children, gene_names, obs, dp3, cfg)])
+        fitness = np.concatenate([fitness[order:order + 1], problem.evaluate(children)])
 
         gen_best = float(np.min(fitness))
         history.append(gen_best)

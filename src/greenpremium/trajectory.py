@@ -9,6 +9,8 @@ parity analysis consume.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, Sequence
 
@@ -17,16 +19,10 @@ from . import costmodel as cm
 PremiumKind = Literal["production", "acquisition", "lifecycle"]
 
 # Schedule keys, grouped by the scenario member they populate.
-EV_FIELDS = ("battery_unit_cost", "battery_capacity", "motor_unit_cost",
-             "motor_power", "other_hv_cost")
-ICEV_FIELDS = ("engine_intake_exhaust_cost", "transmission_cost")
-POLICY_FIELDS = ("purchase_tax_rate", "ev_tax_exempt", "acquisition_subsidy",
-                 "credit_price", "cafc_actual", "cafc_threshold",
-                 "nev_credits_actual", "nev_credits_threshold")
-USAGE_FIELDS = ("lifecycle_years", "annual_km", "ev_consumption",
-                "icev_consumption", "electricity_price", "gasoline_price",
-                "ev_maintenance", "icev_maintenance")
-FINANCE_FIELDS = ("ev_residual", "icev_residual", "discount_rate")
+EV_FIELDS, ICEV_FIELDS, POLICY_FIELDS, USAGE_FIELDS, FINANCE_FIELDS = (
+    tuple(f.name for f in dataclasses.fields(cls))
+    for cls in (cm.EvPowertrain, cm.IcevPowertrain, cm.SubsidyPolicy,
+                cm.UsageProfile, cm.ResidualAndFinance))
 PRICE_FIELDS = ("common_base_cost", "ev_price", "icev_price",
                 "ev_price_margin", "icev_price_margin")
 OPTIONAL_FIELDS = ("consumer_battery_replacements",)
@@ -77,6 +73,11 @@ class ScenarioSchedule:
             unknown = set(e.overrides) - known
             if unknown:
                 raise ScheduleError(f"unknown schedule fields: {sorted(unknown)}")
+            for name, value in e.overrides.items():
+                # bools are ints; the bound rejects NaN, inf and ints no float holds
+                if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+                    raise ScheduleError(
+                        f"entry {e.year}: {name}: expected a finite number, got {value!r}")
         first = self.entries[0].overrides
         derived_ev = "ev_price_margin" in first
         derived_icev = "icev_price_margin" in first
@@ -200,7 +201,7 @@ def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
         year=sc.year,
         production=cm.production_premium(prod_ev, prod_icev),
         acquisition=cm.acquisition_premium(sc),
-        lifecycle=cm.lifecycle_premium(sc),
+        lifecycle=cm.tco_premium(tco_ev, tco_icev),
         lcod_ev=cm.lcod(tco_ev, sc.usage),
         lcod_icev=cm.lcod(tco_icev, sc.usage),
     )

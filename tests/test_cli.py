@@ -59,10 +59,30 @@ def test_load_sales_error_messages_carry_line_numbers(tmp_path):
     with pytest.raises(CliError, match="bad.csv:2: malformed"):
         load_sales_csv(str(bad))
 
+    for name, text in (("nan", "nan"), ("inf", "inf")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"year,annual_sales\n2011,1\n2012,{text}\n")
+        with pytest.raises(CliError, match=f"{name}.csv:3: non-finite sales"):
+            load_sales_csv(str(path))
+
     header = tmp_path / "header.csv"
     header.write_text("foo,bar\n2020,5\n")
     with pytest.raises(CliError, match="header"):
         load_sales_csv(str(header))
+
+
+@pytest.mark.parametrize("value, shown", [('"abc"', "'abc'"), (".nan", "nan")])
+def test_scenario_value_that_is_not_a_finite_number_names_file_entry_and_field(
+        tmp_path, capsys, value, shown):
+    text = config.scenario_path("long-range").read_text()
+    assert "  - year: 2010\n    battery_unit_cost: 7500\n" in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace("battery_unit_cost: 7500",
+                                f"battery_unit_cost: {value}", 1))
+    assert run(["tco", "--scenario", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert (f"{bad}: entry 2010: battery_unit_cost: expected a finite number, "
+            f"got {shown}") in err
 
 
 # --- commands ----------------------------------------------------------------

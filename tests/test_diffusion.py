@@ -1,12 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from greenpremium import trajectory as tj
-from greenpremium.diffusion import (AdoptionState, BassParams, bass_step,
+from greenpremium.diffusion import (AdoptionState, BassParams,
                                     closed_form_cumulative,
-                                    decision_coefficient, raw_bass_step,
-                                    simulate)
+                                    decision_coefficient, flows, simulate)
 
 
 def flat_series(years, lifecycle):
@@ -24,26 +24,71 @@ def test_decision_coefficient_values():
 
 # --- single step ----------------------------------------------------------
 
+def one_year(params, cumulative, dp3=0.0):
+    """(flow, raw) of a one-year horizon starting from `cumulative`."""
+    flow, raw = flows(params.p, params.q, params.m, params.beta, [dp3],
+                      initial=cumulative)
+    return flow[0, 0], raw[0, 0]
+
+
 def test_bass_step_innovation_only_at_launch():
     params = BassParams(p=0.03, q=0.38, m=100)
-    assert bass_step(params, cumulative=0.0) == pytest.approx(3.0)
+    assert one_year(params, cumulative=0.0)[0] == pytest.approx(3.0)
 
 
 def test_bass_step_saturated_market():
     params = BassParams(p=0.03, q=0.38, m=100)
-    assert bass_step(params, cumulative=100.0) == 0.0
+    assert one_year(params, cumulative=100.0)[0] == 0.0
 
 
 def test_bass_step_midway():
     params = BassParams(p=0.03, q=0.38, m=100)
-    assert bass_step(params, cumulative=50.0) == pytest.approx(11.0)
+    assert one_year(params, cumulative=50.0)[0] == pytest.approx(11.0)
 
 
 def test_bass_step_clamps_negative_flow():
     params = BassParams(p=0.03, q=0.38, m=100, beta=-2.0)
-    x = decision_coefficient(2.0, params.beta)  # -3.0
-    assert raw_bass_step(params, 0.0, x) < 0
-    assert bass_step(params, 0.0, x) == 0.0
+    assert decision_coefficient(2.0, params.beta) == -3.0
+    flow, raw = one_year(params, 0.0, dp3=2.0)
+    assert raw < 0
+    assert flow == 0.0
+
+
+def python_recursion(p, q, m, beta, dp3):
+    """The recursion in plain floats, term by term as the module docstring
+    writes it: the reference the array kernel must match bitwise."""
+    cumulative, out, raw = 0.0, [], []
+    for delta in dp3:
+        remaining = m - cumulative
+        r = (p * remaining + q * (cumulative / m) * remaining) * (1.0 + delta * beta)
+        flow = min(max(r, 0.0), remaining)
+        out.append(flow)
+        raw.append(r)
+        cumulative += flow
+    return out, raw
+
+
+def test_flows_rows_match_one_row_calls_and_plain_floats_bitwise():
+    """A row's flows do not depend on the batch it is evaluated in, and
+    equal the plain-float recursion exactly."""
+    rng = np.random.default_rng(7)
+    n = 257
+    p = rng.uniform(1e-4, 0.02, n)
+    q = rng.uniform(0.05, 0.8, n)
+    m = rng.uniform(21_000, 150_000, n)
+    beta = rng.uniform(-8.0, 2.0, n)
+    dp3 = rng.uniform(-0.5, 2.0, 12)
+    batch_flows, batch_raw = flows(p, q, m, beta, dp3)
+    assert batch_flows.shape == batch_raw.shape == (n, 12)
+    assert (batch_raw < 0).any()
+    for i in range(n):
+        row_flows, row_raw = flows(p[i], q[i], m[i], beta[i], dp3)
+        assert batch_flows[i].tobytes() == row_flows[0].tobytes()
+        assert batch_raw[i].tobytes() == row_raw[0].tobytes()
+        ref_flows, ref_raw = python_recursion(
+            float(p[i]), float(q[i]), float(m[i]), float(beta[i]), dp3.tolist())
+        assert batch_flows[i].tolist() == ref_flows
+        assert batch_raw[i].tolist() == ref_raw
 
 
 # --- simulation -----------------------------------------------------------

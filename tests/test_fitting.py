@@ -220,6 +220,19 @@ def test_ga_fit_beta_zero_data_yields_negligible_premium_effect(smooth_window):
     assert abs(generalized.r_squared - vanilla.r_squared) < 0.02
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("generalized", [False, True])
+def test_ga_fit_objective_equals_objective_of_its_params(
+        long_range, china_sales, seed, generalized):
+    """The GA's reported loss is exactly the loss of the parameters it
+    returns, so the elite's fitness carried across generations is exact."""
+    premiums = (tj.premium_series(long_range, range(2010, 2022))
+                if generalized else None)
+    cfg = FitConfig(rng_seed=seed)
+    result = ga_fit(china_sales, premiums, cfg)
+    assert result.objective == objective(result.params, china_sales, premiums, cfg)
+
+
 # --- compare_models -----------------------------------------------------------
 
 def test_compare_models_premium_coupled_data(smooth_window):

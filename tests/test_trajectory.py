@@ -84,6 +84,12 @@ def test_schedule_validation():
         # missing most fields in the first entry
         tj.ScenarioSchedule("bad", "x", (2010, 2030), entries=(
             tj.ScheduleEntry(2010, {"battery_unit_cost": 820}),))
+    first = dict(sched.entries[0].overrides)
+    for bad in ("abc", float("nan"), float("inf"), None, 10**400):
+        with pytest.raises(tj.ScheduleError,
+                           match="entry 2010: motor_power: expected a finite number"):
+            tj.ScenarioSchedule("bad", "x", (2010, 2030), entries=(
+                tj.ScheduleEntry(2010, {**first, "motor_power": bad}),))
 
 
 # --- premium series -----------------------------------------------------------
@@ -112,6 +118,19 @@ def test_constant_schedule_gives_constant_series():
     for p in series.points[1:]:
         assert p.lifecycle == first.lifecycle
         assert p.production == first.production
+
+
+def test_evaluate_year_lifecycle_matches_lifecycle_premium(long_range, short_range):
+    for sched in (long_range, short_range):
+        for year in range(2010, 2031):
+            sc = tj.resolve_scenario(sched, year)
+            assert tj.evaluate_year(sc).lifecycle == cm.lifecycle_premium(sc)
+
+
+def test_evaluate_year_rejects_non_positive_icev_tco(lr_2021):
+    sc = cm.replace_field(lr_2021, "finance.icev_residual", 1e9)
+    with pytest.raises(cm.DomainError, match="ICEV TCO must be positive"):
+        tj.evaluate_year(sc)
 
 
 def test_premium_series_requires_contiguous_years():
