@@ -21,14 +21,17 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__, config
 from . import costmodel as cm
 from . import sensitivity as sn
 from . import trajectory as tj
-from .diffusion import BassParams, decision_coefficient, simulate
-from .fitting import (FitConfig, FitError, FitResult, ObservationSeries,
-                      compare_models, ga_fit, predictions, r_squared)
+
+# diffusion and fitting import numpy, so only the fit commands import them.
+if TYPE_CHECKING:
+    from .diffusion import BassParams
+    from .fitting import FitConfig, FitResult, ObservationSeries
 
 REPORT_DIGITS = 6    # report columns
 EXACT_DIGITS = 17    # fitted parameters and predictions (round-trippable)
@@ -83,6 +86,7 @@ def write_csv(out: str | None, manifest: RunManifest, header: list[str],
 
 def load_sales_csv(path: str) -> ObservationSeries:
     """Parse a `year,annual_sales` file; comment lines start with '#'."""
+    from .fitting import ObservationSeries
     p = Path(path)
     if not p.exists():
         raise CliError(f"sales file not found: {path}")
@@ -125,6 +129,7 @@ def load_sales_csv(path: str) -> ObservationSeries:
 
 def load_params_csv(path: str) -> BassParams:
     """Read fitted parameters back from a `fit` output file."""
+    from .diffusion import BassParams
     p = Path(path)
     if not p.exists():
         raise CliError(f"params file not found: {path}")
@@ -162,6 +167,7 @@ def _resolve_seed(args) -> int:
 
 
 def _fit_config(args, seed: int) -> FitConfig:
+    from .fitting import FitConfig
     kwargs = dict(rng_seed=seed)
     if args.population is not None:
         kwargs["population_size"] = args.population
@@ -187,6 +193,14 @@ def _fit_rows(result: FitResult) -> tuple[list[str], list[list[str]]]:
            _fmt(result.objective, EXACT_DIGITS), _fmt(result.r_squared, EXACT_DIGITS),
            str(result.generations_run), _fmt(result.converged)]
     return header, [row]
+
+
+def _report_bounds(model: str, result: FitResult) -> None:
+    """One stderr line per fitted parameter that ended on a bound."""
+    for gene, side in result.at_bounds:
+        value = _fmt(getattr(result.params, gene), EXACT_DIGITS)
+        print(f"warning: {model} fit: {gene} = {value} is at its {side} bound",
+              file=sys.stderr)
 
 
 # --- subcommand implementations ------------------------------------------
@@ -250,10 +264,12 @@ def _sales_and_premiums(args, with_premiums: bool = True
 
 
 def cmd_fit(args) -> None:
+    from .fitting import ga_fit
     obs, premiums = _sales_and_premiums(args, with_premiums=not args.vanilla)
     seed = _resolve_seed(args)
     cfg = _fit_config(args, seed)
     result = ga_fit(obs, premiums, cfg)
+    _report_bounds("vanilla" if args.vanilla else "generalized", result)
     header, rows = _fit_rows(result)
     manifest = _manifest(args, "fit", seed=seed,
                          model="vanilla" if args.vanilla else "generalized",
@@ -266,6 +282,7 @@ def cmd_fit(args) -> None:
 
 
 def cmd_forecast(args) -> None:
+    from .diffusion import decision_coefficient, simulate
     params = load_params_csv(args.params)
     sched = config.load_schedule(args.scenario)
     horizon = args.year_to - args.year_from + 1
@@ -306,12 +323,14 @@ def cmd_sensitivity(args) -> None:
 
 
 def cmd_compare(args) -> None:
+    from .fitting import compare_models
     obs, premiums = _sales_and_premiums(args)
     seed = _resolve_seed(args)
     cfg = _fit_config(args, seed)
     vanilla, generalized = compare_models(obs, premiums, cfg)
     rows = []
     for label, res in (("vanilla", vanilla), ("generalized", generalized)):
+        _report_bounds(label, res)
         _, fit_rows = _fit_rows(res)
         rows.append([label] + fit_rows[0])
     manifest = _manifest(args, "compare", seed=seed, data=args.data)
@@ -405,8 +424,8 @@ def run(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         args.func(args)
-    except (CliError, config.ConfigError, FitError, tj.ScheduleError,
-            cm.DomainError, ValueError) as exc:
+    except (CliError, config.ConfigError, tj.ScheduleError, cm.DomainError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

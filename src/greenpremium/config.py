@@ -21,6 +21,10 @@ from .trajectory import (DEFAULT_STEP_FIELDS, ScenarioSchedule, ScheduleEntry,
 CONFIG_DIR_ENV = "GREENPREMIUM_CONFIG_DIR"
 BUILTIN_SCENARIOS = ("long-range", "short-range")
 
+# libyaml's parser feeds the same SafeConstructor and resolver as the
+# pure-Python one, so both build the same documents; only the speed differs.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Unreadable or structurally invalid scenario file."""
@@ -55,7 +59,7 @@ def scenario_path(ref: str) -> Path:
 def load_schedule(ref: str) -> ScenarioSchedule:
     path = scenario_path(ref)
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.load(path.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     if not isinstance(doc, dict):

@@ -41,8 +41,9 @@ class BassParams:
             raise ValueError("q must be >= 0")
         if not self.m > 0:
             raise ValueError("m must be > 0")
-        if not math.isfinite(self.beta):
-            raise ValueError("beta must be finite")
+        for name in ("p", "q", "m", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,8 @@ class FitResult:
     generations_run: int
     converged: bool
     history: tuple[float, ...]
+    # (gene, "lower" | "upper") for each fitted gene that ended on a bound
+    at_bounds: tuple[tuple[str, str], ...] = ()
 
 
 class _FitProblem:
@@ -231,6 +233,9 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
 
     winner = pop[int(np.argmin(fitness))]
     values = dict(zip(gene_names, (float(v) for v in winner)))
+    # np.clip puts a gene exactly on its bound, so == finds it.
+    at_bounds = tuple((g, "lower" if values[g] == cfg.bounds[g][0] else "upper")
+                      for g in gene_names if values[g] in cfg.bounds[g])
     params = BassParams(
         p=values["p"], q=values["q"],
         m=values.get("m", cfg.m_value),
@@ -243,6 +248,7 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
         generations_run=generations,
         converged=converged,
         history=tuple(history),
+        at_bounds=at_bounds,
     )
 
 

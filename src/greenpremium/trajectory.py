@@ -69,6 +69,8 @@ class ScenarioSchedule:
         if years[0] > self.span[0]:
             raise ScheduleError("first entry must not postdate the span start")
         known = set(ALL_FIELDS)
+        # Each field's (year, value) anchors, indexed once; value_at reads them.
+        tracks: dict[str, list[tuple[int, object]]] = {}
         for e in self.entries:
             unknown = set(e.overrides) - known
             if unknown:
@@ -78,6 +80,8 @@ class ScenarioSchedule:
                 if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
                     raise ScheduleError(
                         f"entry {e.year}: {name}: expected a finite number, got {value!r}")
+                tracks.setdefault(name, []).append((e.year, value))
+        object.__setattr__(self, "_tracks", tracks)
         first = self.entries[0].overrides
         derived_ev = "ev_price_margin" in first
         derived_icev = "icev_price_margin" in first
@@ -91,16 +95,12 @@ class ScenarioSchedule:
             if f_ not in first:
                 raise ScheduleError(f"first entry must define every field; missing {f_!r}")
 
-    def anchors(self, field_name: str) -> list[tuple[int, object]]:
-        return [(e.year, e.overrides[field_name])
-                for e in self.entries if field_name in e.overrides]
-
     def value_at(self, field_name: str, year: int) -> object:
         """Resolve one field: step fields hold, others interpolate linearly."""
         if not (self.span[0] <= year <= self.span[1]):
             raise SpanError(
                 f"year {year} outside schedule span {self.span[0]}..{self.span[1]}")
-        track = self.anchors(field_name)
+        track = self._tracks.get(field_name)
         if not track:
             raise ScheduleError(f"field {field_name!r} has no anchors")
         if year < track[0][0]:

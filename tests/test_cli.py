@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +208,42 @@ def test_compare_command(tmp_path):
     rows = parse_csv(out)
     assert [r["model"] for r in rows] == ["vanilla", "generalized"]
     assert float(rows[0]["beta"]) == 0.0
+
+
+@pytest.mark.parametrize("p, q, m", [("0.001", "nan", "80000"),
+                                     ("inf", "0.5", "80000"),
+                                     ("0.001", "0.5", "inf")])
+def test_forecast_rejects_non_finite_params(tmp_path, capsys, p, q, m):
+    params = tmp_path / "params.csv"
+    params.write_text(f"p,q,beta,m\n{p},{q},0,{m}\n")
+    out = tmp_path / "forecast.csv"
+    assert run(["forecast", "--params", str(params), "--out", str(out)]) == 1
+    assert str(params) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_reports_parameter_on_bound(tmp_path, capsys):
+    sales = str(config.sample_sales_path())
+    out = run_to_file(tmp_path, "cmp.csv", ["compare", "--data", sales, "--seed", "0"])
+    err = capsys.readouterr().err
+    assert "warning: generalized fit: m = 150000 is at its upper bound" in err
+    generalized = parse_csv(out)[1]
+    assert generalized["model"] == "generalized" and float(generalized["m"]) == 150000
+    assert "warning" not in out.read_text()
+
+
+def test_scenario_commands_do_not_import_numpy(tmp_path):
+    script = (
+        "import sys\n"
+        "import greenpremium.cli as cli\n"
+        "for cmd in ('tco', 'premium-series', 'parity', 'sensitivity'):\n"
+        "    assert cli.run([cmd, '--out', cmd + '.csv']) == 0, cmd\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "import greenpremium\n"
+        "from greenpremium import BassParams, ga_fit\n"
+        "assert greenpremium.BassParams is BassParams and callable(ga_fit)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
