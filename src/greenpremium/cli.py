@@ -264,6 +264,7 @@ def _sales_and_premiums(args, with_premiums: bool = True
 
 
 def cmd_fit(args) -> None:
+    import numpy as np
     from .fitting import ga_fit
     obs, premiums = _sales_and_premiums(args, with_premiums=not args.vanilla)
     seed = _resolve_seed(args)
@@ -277,7 +278,8 @@ def cmd_fit(args) -> None:
                          population=cfg.population_size,
                          generations=cfg.max_generations,
                          late_weight=cfg.late_weight,
-                         m_mode=cfg.m_mode)
+                         m_mode=cfg.m_mode,
+                         numpy=np.__version__)
     write_csv(args.out, manifest, header, rows)
 
 
@@ -323,6 +325,7 @@ def cmd_sensitivity(args) -> None:
 
 
 def cmd_compare(args) -> None:
+    import numpy as np
     from .fitting import compare_models
     obs, premiums = _sales_and_premiums(args)
     seed = _resolve_seed(args)
@@ -333,7 +336,8 @@ def cmd_compare(args) -> None:
         _report_bounds(label, res)
         _, fit_rows = _fit_rows(res)
         rows.append([label] + fit_rows[0])
-    manifest = _manifest(args, "compare", seed=seed, data=args.data)
+    manifest = _manifest(args, "compare", seed=seed, data=args.data,
+                         numpy=np.__version__)
     write_csv(args.out, manifest,
               ["model", "p", "q", "beta", "m", "objective", "r_squared",
                "generations_run", "converged"], rows)

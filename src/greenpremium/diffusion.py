@@ -71,19 +71,29 @@ def flows(p, q, m, beta, dp3, initial: float = 0.0) -> tuple[np.ndarray, np.ndar
     All arithmetic is elementwise, so a row's result does not depend on the
     other rows in the batch.
     """
-    p, q, m, beta = np.broadcast_arrays(*np.atleast_1d(p, q, m, beta))
+    p, q, m, beta = (np.ascontiguousarray(a, dtype=float) for a in
+                     np.broadcast_arrays(*np.atleast_1d(p, q, m, beta)))
     dp3 = np.asarray(dp3, dtype=float)
     # One block, not two, so the allocator reuses it instead of mapping fresh pages.
     raw, out = np.empty((2, len(dp3), len(p)))
-    cumulative = np.minimum(initial, m).astype(float)
-    for r, f, dp3_t in zip(raw, out, dp3):
+    # Each year's x = decision_coefficient(dp3, beta) = 1 + dp3*beta, made in
+    # place, waits in that year's row of out until the year's flow replaces it.
+    np.multiply(dp3[:, None], beta, out=out)
+    out += 1.0
+    cumulative = np.minimum(initial, m)
+    remaining = np.empty_like(cumulative)
+    scratch = np.empty_like(cumulative)
+    for r, f in zip(raw, out):
         # r = (p*(m - N) + q*(N/m)*(m - N)) * x in place, rounding as the formula does
-        remaining = m - cumulative
-        np.multiply(q, cumulative / m, out=r)
+        np.subtract(m, cumulative, out=remaining)
+        np.divide(cumulative, m, out=scratch)
+        np.multiply(q, scratch, out=r)
         r *= remaining
-        r += p * remaining
-        r *= decision_coefficient(dp3_t, beta)
-        np.minimum(np.maximum(r, 0.0, out=f), remaining, out=f)
+        np.multiply(p, remaining, out=scratch)
+        r += scratch
+        r *= f
+        np.maximum(r, 0.0, out=f)
+        np.minimum(f, remaining, out=f)
         cumulative += f
     return out.T, raw.T
 

@@ -88,6 +88,21 @@ class FitConfig:
         for name, (lo, hi) in self.bounds.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise FitError(f"bounds for {name!r} must be finite and ordered")
+        if "m" in self.bounds and not self.bounds["m"][0] > 0:
+            raise FitError("bounds for 'm' must have a lower end > 0")
+        for name in ("late_weight", "m_value"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise FitError(f"{name} must be finite and > 0, got {value!r}")
+        for name in ("penalty_weight", "stagnation_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise FitError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.max_generations < 0:
+            raise FitError(f"max_generations must be >= 0, got {self.max_generations}")
+        if self.stagnation_patience < 1:
+            raise FitError(
+                f"stagnation_patience must be >= 1, got {self.stagnation_patience}")
 
 
 @dataclass(frozen=True)
@@ -125,23 +140,36 @@ class _FitProblem:
                       + (("m",) if m_value is None else ()))
         self.m_value = m_value
         self.penalty_weight = cfg.penalty_weight
-        self.terms = [(y - years[0], cfg.late_weight if y >= cfg.late_weight_from_year
-                       else 1.0, seen) for y, seen in obs.points]
+        self.columns = np.array([y - years[0] for y in years])
+        self.weights = np.array([cfg.late_weight if y >= cfg.late_weight_from_year
+                                 else 1.0 for y in years])[:, None]
+        self.seen = np.array(obs.sales)[:, None]
 
     def evaluate(self, genomes: np.ndarray) -> np.ndarray:
         """Weighted SSE + positivity penalty for each genome row."""
         cols = dict(zip(self.genes, genomes.T))
-        zeros = np.zeros(len(genomes))
         flow, raw = flows(cols["p"], cols["q"], cols.get("m", self.m_value),
-                          cols.get("beta", zeros), self.dp3)
-        # Sums run year by year; a pairwise sum(axis=1) would move last bits.
-        total = zeros.copy()
-        for col, weight, seen in self.terms:
-            total += weight * np.square(flow[:, col] - seen)
-        penalty = zeros.copy()
-        for year_raw in raw.T:
-            penalty += np.square(np.maximum(-year_raw, 0.0))
-        return total + self.penalty_weight * penalty
+                          cols.get("beta", 0.0), self.dp3)
+        # Both terms are built as (years, rows) blocks in raw's memory, the
+        # squared negative raw flows first, then the weighted squared residuals.
+        raw = raw.T
+        np.negative(raw, out=raw)
+        np.maximum(raw, 0.0, out=raw)
+        np.square(raw, out=raw)
+        # Sums run year by year; a pairwise sum over years would move last bits.
+        penalty = np.zeros(len(genomes))
+        for term in raw:
+            penalty += term
+        residual = flow.T.take(self.columns, axis=0, out=raw[:len(self.columns)])
+        residual -= self.seen
+        np.square(residual, out=residual)
+        residual *= self.weights
+        total = np.zeros(len(genomes))
+        for term in residual:
+            total += term
+        penalty *= self.penalty_weight
+        total += penalty
+        return total
 
 
 def objective(params: BassParams, obs: ObservationSeries,
@@ -178,8 +206,23 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     sigma = 0.1 * (hi - lo)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    pop = lo + rng.random((cfg.population_size, len(gene_names))) * (hi - lo)
+    n_pop, n_genes = cfg.population_size, len(gene_names)
+    pop = lo + rng.random((n_pop, n_genes)) * (hi - lo)
     fitness = problem.evaluate(pop)
+
+    # Each generation draws, in this order: tournament contenders; one uniform
+    # block split into crossover flags, blend weights and mutation flags; and
+    # standard normal mutation noise. Children go straight into the rows after
+    # the elite of the other population buffer, and the buffers then swap.
+    n_children = n_pop - 1
+    uniforms = np.empty(n_children * (1 + 2 * n_genes))
+    cx_u = uniforms[:n_children]
+    blend_u, mut_u = uniforms[n_children:].reshape(2, n_children, n_genes)
+    mut_noise = np.empty((n_children, n_genes))
+    # Per-gene vectors repeated per child: same-shape operands are cheaper than broadcasts.
+    lo_rows, hi_rows, sigma_rows = (np.tile(v, (n_children, 1)) for v in (lo, hi, sigma))
+    next_pop = np.empty_like(pop)
+    next_fitness = np.empty_like(fitness)
 
     history: list[float] = []
     best_obj = float(np.min(fitness))
@@ -189,36 +232,44 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     for _ in range(cfg.max_generations):
         generations += 1
         order = int(np.argmin(fitness))
-        elite = pop[order].copy()
+        next_pop[0] = pop[order]
+        next_fitness[0] = fitness[order]
 
-        n_children = cfg.population_size - 1
-        contenders = rng.integers(0, cfg.population_size, size=(n_children, 2, 3))
-        do_cx = rng.random(n_children) < cfg.crossover_prob
-        blend_u = rng.random((n_children, len(gene_names)))
-        mut_mask = rng.random((n_children, len(gene_names))) < cfg.mutation_prob
-        mut_noise = rng.normal(0.0, 1.0, size=(n_children, len(gene_names))) * sigma
+        contenders = rng.integers(0, n_pop, size=(n_children, 2, 3))
+        rng.random(out=uniforms)
+        rng.standard_normal(out=mut_noise)
+        mut_noise *= sigma_rows
 
-        parent_idx = contenders[:, :, 0].copy()
-        for slot in (0, 1):
-            cand = contenders[:, slot, :]
-            cand_fit = fitness[cand]
-            parent_idx[:, slot] = cand[np.arange(n_children), np.argmin(cand_fit, axis=1)]
-        pa = pop[parent_idx[:, 0]]
-        pb = pop[parent_idx[:, 1]]
+        # Tournaments of three per parent slot: strict compares keep the first
+        # of equal contenders, as argmin does (fitness is finite).
+        cands = contenders.transpose(2, 1, 0).copy()    # (contender, slot, child)
+        fit = fitness.take(cands)
+        first = fit[1] < fit[0]
+        winners = np.where(first, cands[1], cands[0])
+        np.copyto(winners, cands[2], where=fit[2] < np.where(first, fit[1], fit[0]))
+        pa, pb = pop.take(winners, axis=0)
 
         # BLX-0.5 blend: sample inside the parent interval widened by half
         # its span on each side; non-crossover children copy parent A.
+        # In place: children = gmin - 0.5*span + blend_u*(2.0*span), rounded in that order.
+        children = next_pop[1:]
         gmin = np.minimum(pa, pb)
-        gmax = np.maximum(pa, pb)
-        span = gmax - gmin
-        children = gmin - 0.5 * span + blend_u * (2.0 * span)
-        children = np.where(do_cx[:, None], children, pa)
-        children = np.where(mut_mask, children + mut_noise, children)
-        children = np.clip(children, lo, hi)
+        span = np.maximum(pa, pb)
+        span -= gmin
+        np.multiply(span, 0.5, out=children)
+        np.subtract(gmin, children, out=children)
+        span *= 2.0
+        span *= blend_u
+        children += span
+        np.copyto(children, pa, where=(cx_u >= cfg.crossover_prob)[:, None])
+        np.add(children, mut_noise, out=children, where=mut_u < cfg.mutation_prob)
+        np.maximum(children, lo_rows, out=children)
+        np.minimum(children, hi_rows, out=children)
 
         # Rows evaluate independently, so the elite keeps its fitness.
-        pop = np.vstack([elite[None, :], children])
-        fitness = np.concatenate([fitness[order:order + 1], problem.evaluate(children)])
+        next_fitness[1:] = problem.evaluate(children)
+        pop, next_pop = next_pop, pop
+        fitness, next_fitness = next_fitness, fitness
 
         gen_best = float(np.min(fitness))
         history.append(gen_best)
@@ -233,7 +284,7 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
 
     winner = pop[int(np.argmin(fitness))]
     values = dict(zip(gene_names, (float(v) for v in winner)))
-    # np.clip puts a gene exactly on its bound, so == finds it.
+    # Clamping puts a gene exactly on its bound, so == finds it.
     at_bounds = tuple((g, "lower" if values[g] == cfg.bounds[g][0] else "upper")
                       for g in gene_names if values[g] in cfg.bounds[g])
     params = BassParams(

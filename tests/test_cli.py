@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from greenpremium import config
@@ -169,6 +170,14 @@ def test_manifest_comments_present(tmp_path):
     assert text.startswith("# greenpremium")
     assert "# command: premium-series" in text
     assert "# scenario: long-range sha256:" in text
+    assert "# numpy:" not in text
+    # A fit's bytes depend on numpy's random stream, so fit manifests name it.
+    sales = str(config.sample_sales_path())
+    for command in ("fit", "compare"):
+        out = run_to_file(tmp_path, f"{command}.csv",
+                          [command, "--data", sales, "--seed", "0",
+                           "--population", "20", "--generations", "3"])
+        assert f"# numpy: {np.__version__}" in out.read_text().splitlines()
 
 
 def test_load_params_csv_rejects_wrong_file(tmp_path):
@@ -198,6 +207,22 @@ def test_exit_codes(tmp_path):
     assert run(["no-such-command"]) == 1
     assert run(["fit", "--data", "x", "--bogus-flag"]) == 1
     assert run(["--version"]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("options, field", [
+    (["--late-weight", "nan"], "late_weight"),
+    (["--late-weight", "-1"], "late_weight"),
+    (["--m-mode", "fixed", "--m-value", "0"], "m_value"),
+    (["--generations", "-1"], "max_generations"),
+], ids=["late-weight-nan", "late-weight-negative", "m-value-zero", "generations-negative"])
+def test_fit_rejects_invalid_settings_before_fitting(tmp_path, capsys, options, field):
+    out = tmp_path / "fit.csv"
+    code = run(["fit", "--data", str(config.sample_sales_path()), "--seed", "0",
+                *options, "--out", str(out)])
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_command(tmp_path):

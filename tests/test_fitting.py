@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from greenpremium import trajectory as tj
@@ -189,6 +190,29 @@ def test_ga_fit_preconditions(smooth_window):
                           "beta": (-8, 2), "m": (21000, 150000)})
 
 
+@pytest.mark.parametrize("setting, field", [
+    ({"late_weight": math.nan}, "late_weight"),
+    ({"late_weight": 0.0}, "late_weight"),
+    ({"penalty_weight": -1.0}, "penalty_weight"),
+    ({"penalty_weight": math.inf}, "penalty_weight"),
+    ({"m_value": 0.0}, "m_value"),
+    ({"m_value": math.nan}, "m_value"),
+    ({"bounds": {**DEFAULT_BOUNDS, "m": (0.0, 150_000.0)}}, "'m'"),
+    ({"max_generations": -1}, "max_generations"),
+    ({"stagnation_patience": 0}, "stagnation_patience"),
+    ({"stagnation_tol": -1e-10}, "stagnation_tol"),
+    ({"stagnation_tol": math.nan}, "stagnation_tol"),
+])
+def test_fit_config_rejects_invalid_settings(setting, field):
+    with pytest.raises(FitError, match=field):
+        FitConfig(**setting)
+
+
+def test_fit_config_accepts_boundary_settings():
+    FitConfig(penalty_weight=0.0, stagnation_tol=0.0, max_generations=0,
+              stagnation_patience=1)
+
+
 def test_ga_fit_recovers_synthetic_truth(smooth_window):
     """Generate-then-recover at reduced budget; the acceptance suite runs
     the full-size configuration."""
@@ -231,6 +255,115 @@ def test_ga_fit_objective_equals_objective_of_its_params(
     cfg = FitConfig(rng_seed=seed)
     result = ga_fit(china_sales, premiums, cfg)
     assert result.objective == objective(result.params, china_sales, premiums, cfg)
+
+
+def reference_flows(p, q, m, beta, dp3):
+    """The adoption recursion as (years, rows) blocks, one temporary per step."""
+    p, q, m, beta = np.broadcast_arrays(*np.atleast_1d(p, q, m, beta))
+    flow = np.empty((len(dp3), len(p)))
+    raw = np.empty((len(dp3), len(p)))
+    cumulative = np.zeros(len(p))
+    for r, f, dp3_t in zip(raw, flow, dp3):
+        remaining = m - cumulative
+        np.multiply(q, cumulative / m, out=r)
+        r *= remaining
+        r += p * remaining
+        r *= decision_coefficient(dp3_t, beta)
+        np.minimum(np.maximum(r, 0.0, out=f), remaining, out=f)
+        cumulative += f
+    return flow, raw
+
+
+def reference_ga_fit(obs, premiums, cfg):
+    """The GA written plainly: four separate draws per generation, an argmin
+    over each tournament slot, np.where for blend and mutation, np.clip and
+    a stacked new population."""
+    years = obs.years
+    sim_years = range(years[0], years[-1] + 1)
+    dp3 = [0.0 if premiums is None else premiums.lifecycle(y) for y in sim_years]
+    m_value = cfg.m_value if cfg.m_mode == "fixed" else None
+    genes = (("p", "q") + (("beta",) if premiums is not None else ())
+             + (("m",) if m_value is None else ()))
+    terms = [(y - years[0], cfg.late_weight if y >= cfg.late_weight_from_year
+              else 1.0, seen) for y, seen in obs.points]
+
+    def evaluate(genomes):
+        cols = dict(zip(genes, genomes.T))
+        zeros = np.zeros(len(genomes))
+        flow, raw = reference_flows(cols["p"], cols["q"], cols.get("m", m_value),
+                                    cols.get("beta", zeros), dp3)
+        total = zeros.copy()
+        for col, weight, seen in terms:
+            total += weight * np.square(flow[col] - seen)
+        penalty = zeros.copy()
+        for year_raw in raw:
+            penalty += np.square(np.maximum(-year_raw, 0.0))
+        return total + cfg.penalty_weight * penalty
+
+    lo = np.array([cfg.bounds[g][0] for g in genes])
+    hi = np.array([cfg.bounds[g][1] for g in genes])
+    sigma = 0.1 * (hi - lo)
+    rng = np.random.default_rng(cfg.rng_seed)
+    pop = lo + rng.random((cfg.population_size, len(genes))) * (hi - lo)
+    fitness = evaluate(pop)
+    history = []
+    best_obj = float(np.min(fitness))
+    stale = 0
+    generations = 0
+    for _ in range(cfg.max_generations):
+        generations += 1
+        order = int(np.argmin(fitness))
+        elite = pop[order].copy()
+        n = cfg.population_size - 1
+        contenders = rng.integers(0, cfg.population_size, size=(n, 2, 3))
+        do_cx = rng.random(n) < cfg.crossover_prob
+        blend_u = rng.random((n, len(genes)))
+        mut_mask = rng.random((n, len(genes))) < cfg.mutation_prob
+        mut_noise = rng.normal(0.0, 1.0, size=(n, len(genes))) * sigma
+        parent_idx = contenders[:, :, 0].copy()
+        for slot in (0, 1):
+            cand = contenders[:, slot, :]
+            parent_idx[:, slot] = cand[np.arange(n), np.argmin(fitness[cand], axis=1)]
+        pa = pop[parent_idx[:, 0]]
+        pb = pop[parent_idx[:, 1]]
+        gmin = np.minimum(pa, pb)
+        span = np.maximum(pa, pb) - gmin
+        children = gmin - 0.5 * span + blend_u * (2.0 * span)
+        children = np.where(do_cx[:, None], children, pa)
+        children = np.where(mut_mask, children + mut_noise, children)
+        children = np.clip(children, lo, hi)
+        pop = np.vstack([elite[None, :], children])
+        fitness = np.concatenate([fitness[order:order + 1], evaluate(children)])
+        gen_best = float(np.min(fitness))
+        history.append(gen_best)
+        stale = 0 if best_obj - gen_best > cfg.stagnation_tol else stale + 1
+        best_obj = min(best_obj, gen_best)
+        if cfg.early_stop and stale >= cfg.stagnation_patience:
+            break
+    values = dict(zip(genes, (float(v) for v in pop[int(np.argmin(fitness))])))
+    at_bounds = tuple((g, "lower" if values[g] == cfg.bounds[g][0] else "upper")
+                      for g in genes if values[g] in cfg.bounds[g])
+    params = BassParams(p=values["p"], q=values["q"], m=values.get("m", cfg.m_value),
+                        beta=values.get("beta", 0.0))
+    return params, best_obj, tuple(history), generations, at_bounds
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("population", [2, 3, 60])
+@pytest.mark.parametrize("model", ["vanilla", "generalized", "fixed-m"])
+def test_ga_fit_matches_plain_reference_bitwise(long_range, china_sales,
+                                                model, population, seed):
+    """Every draw, selection and rounding of the GA matches the plain
+    reference. One-child populations catch a year sum that turned pairwise."""
+    premiums = (None if model == "vanilla"
+                else tj.premium_series(long_range, range(2010, 2022)))
+    extra = {"m_mode": "fixed", "m_value": 30000.0} if model == "fixed-m" else {}
+    cfg = FitConfig(rng_seed=seed, population_size=population, max_generations=60,
+                    stagnation_patience=20, **extra)
+    result = ga_fit(china_sales, premiums, cfg)
+    got = (result.params, result.objective, result.history,
+           result.generations_run, result.at_bounds)
+    assert got == reference_ga_fit(china_sales, premiums, cfg)
 
 
 # --- compare_models -----------------------------------------------------------
