@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import secrets
 import sys
 import time
@@ -85,13 +84,17 @@ def write_csv(out: str | None, manifest: RunManifest, header: list[str],
 
 
 def load_sales_csv(path: str) -> ObservationSeries:
-    """Parse a `year,annual_sales` file; comment lines start with '#'."""
-    from .fitting import ObservationSeries
+    """Parse a `year,annual_sales` file; comment lines start with '#'.
+
+    `ObservationSeries` checks the values; an error it raises is reported
+    here at the line of the offending row.
+    """
+    from .fitting import ObservationError, ObservationSeries
     p = Path(path)
     if not p.exists():
         raise CliError(f"sales file not found: {path}")
     points: list[tuple[int, float]] = []
-    seen: dict[int, int] = {}
+    linenos: list[int] = []
     header_ok = False
     with p.open() as f:
         for lineno, line in enumerate(f, start=1):
@@ -109,22 +112,17 @@ def load_sales_csv(path: str) -> ObservationSeries:
             if len(parts) != 2:
                 raise CliError(f"{path}:{lineno}: expected two fields")
             try:
-                year = int(parts[0])
-                sales = float(parts[1])
+                points.append((int(parts[0]), float(parts[1])))
             except ValueError:
                 raise CliError(f"{path}:{lineno}: malformed row {line!r}") from None
-            if not math.isfinite(sales):
-                raise CliError(f"{path}:{lineno}: non-finite sales")
-            if sales < 0:
-                raise CliError(f"{path}:{lineno}: negative sales")
-            if year in seen:
-                raise CliError(
-                    f"{path}:{lineno}: duplicate year {year} (first at line {seen[year]})")
-            seen[year] = lineno
-            points.append((year, sales))
+            linenos.append(lineno)
     if not header_ok or not points:
         raise CliError(f"{path}: no data rows")
-    return ObservationSeries(tuple(points))
+    try:
+        return ObservationSeries(tuple(points))
+    except ObservationError as exc:
+        first = "" if exc.first is None else f" (first at line {linenos[exc.first]})"
+        raise CliError(f"{path}:{linenos[exc.index]}: {exc.reason}{first}") from None
 
 
 def load_params_csv(path: str) -> BassParams:
@@ -137,6 +135,9 @@ def load_params_csv(path: str) -> BassParams:
              if l.strip() and not l.startswith("#")]
     if len(lines) < 2:
         raise CliError(f"{path}: expected a header and one data row")
+    if len(lines) > 2:
+        raise CliError(f"{path}: expected one data row, found {len(lines) - 1}; "
+                       "pass a single-row `fit` output")
     reader = csv.DictReader(lines)
     row = next(iter(reader))
     try:
@@ -208,9 +209,7 @@ def _report_bounds(model: str, result: FitResult) -> None:
 def cmd_tco(args) -> None:
     sched = config.load_schedule(args.scenario)
     sc = tj.resolve_scenario(sched, args.year)
-    point = tj.evaluate_year(sc)
-    tco_ev = cm.tco_npv(sc, cm.VehicleKind.EV)
-    tco_icev = cm.tco_npv(sc, cm.VehicleKind.ICEV)
+    point, tco_ev, tco_icev = tj._evaluate(sc)
     rows = [
         ["ev_price", _fmt(sc.prices.ev_price)],
         ["icev_price", _fmt(sc.prices.icev_price)],

@@ -65,12 +65,17 @@ def load_schedule(ref: str) -> ScenarioSchedule:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a mapping at top level")
     try:
-        span = tuple(doc["span"])
+        span = doc["span"]
+        if not (isinstance(span, list) and len(span) == 2):
+            raise ScheduleError(f"span must be a [first, last] pair of years, got {span!r}")
+        interpolation = doc.get("interpolation", {})
+        if not isinstance(interpolation, dict):
+            raise ScheduleError(f"interpolation must be a mapping, got {interpolation!r}")
         entries = tuple(
             ScheduleEntry(year=int(e["year"]),
                           overrides={k: v for k, v in e.items() if k != "year"})
             for e in doc["entries"])
-        step = frozenset(doc.get("interpolation", {}).get("step", [])) or DEFAULT_STEP_FIELDS
+        step = frozenset(interpolation.get("step", [])) or DEFAULT_STEP_FIELDS
         return ScenarioSchedule(
             name=str(doc["name"]),
             vehicle_class=str(doc.get("vehicle_class", doc["name"])),
@@ -78,7 +83,11 @@ def load_schedule(ref: str) -> ScenarioSchedule:
             entries=entries,
             step_fields=step,
         )
-    except (KeyError, TypeError, ScheduleError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers ScheduleError and int() of a string or NaN;
+        # OverflowError is int() of an infinite year
         raise ConfigError(f"{path}: {exc}") from exc
 
 

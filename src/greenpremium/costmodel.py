@@ -170,34 +170,60 @@ class VehicleScenario:
     consumer_battery_replacements: int = 0
 
 
+def build_scenario(year: int, ev: EvPowertrain, icev: IcevPowertrain,
+                   policy: SubsidyPolicy, usage: UsageProfile,
+                   finance: ResidualAndFinance, prices: MarketPrices,
+                   ev_price_margin: float | None = None,
+                   icev_price_margin: float | None = None,
+                   consumer_battery_replacements: int = 0) -> VehicleScenario:
+    """The one way a snapshot is made: the members as given, prices derived.
+
+    Takes the fields of `VehicleScenario` in order. A set margin replaces
+    that vehicle's entry of `prices` by (1 + margin) * production cost; an
+    unset one keeps the given price.
+    """
+    if ev_price_margin is not None or icev_price_margin is not None:
+        base = prices.common_base_cost
+        ev_price = (prices.ev_price if ev_price_margin is None
+                    else (1.0 + ev_price_margin) * production_cost_ev(ev, base))
+        icev_price = (prices.icev_price if icev_price_margin is None
+                      else (1.0 + icev_price_margin) * production_cost_icev(icev, base))
+        prices = MarketPrices(ev_price, icev_price, base)
+    return VehicleScenario(year, ev, icev, policy, usage, finance, prices,
+                           ev_price_margin, icev_price_margin,
+                           consumer_battery_replacements)
+
+
+_FIELD_NAMES = {cls: tuple(f.name for f in dataclasses.fields(cls))
+                for cls in (VehicleScenario, EvPowertrain, IcevPowertrain, SubsidyPolicy,
+                            UsageProfile, ResidualAndFinance, MarketPrices)}
+
+
+def _values_with(obj, name: str, value) -> list:
+    """The field values of `obj`, in order, with field `name` set to `value`."""
+    names = _FIELD_NAMES.get(type(obj), ())
+    if name not in names:
+        raise TypeError(f"{type(obj).__name__} has no field {name!r}")
+    return [value if n == name else getattr(obj, n) for n in names]
+
+
 def derive_prices(sc: VehicleScenario) -> VehicleScenario:
     """Recompute margin-linked market prices from current production costs."""
-    if sc.ev_price_margin is None and sc.icev_price_margin is None:
-        return sc
-    base = sc.prices.common_base_cost
-    ev_price = sc.prices.ev_price
-    icev_price = sc.prices.icev_price
-    if sc.ev_price_margin is not None:
-        ev_price = (1.0 + sc.ev_price_margin) * production_cost_ev(sc.ev, base)
-    if sc.icev_price_margin is not None:
-        icev_price = (1.0 + sc.icev_price_margin) * production_cost_icev(sc.icev, base)
-    return dataclasses.replace(
-        sc, prices=MarketPrices(ev_price, icev_price, base))
+    return build_scenario(*(getattr(sc, n) for n in _FIELD_NAMES[VehicleScenario]))
 
 
 def replace_field(sc: VehicleScenario, path: str, value) -> VehicleScenario:
     """Return a copy of `sc` with the dotted-path field replaced.
 
     Paths address one level of nesting, e.g. "ev.battery_unit_cost" or
-    "usage.annual_km". Margin-linked prices are re-derived afterwards.
+    "usage.annual_km". The changed member goes through its own constructor,
+    so its checks run, and margin-linked prices are re-derived.
     """
-    if "." in path:
-        head, leaf = path.split(".", 1)
+    head, dot, leaf = path.partition(".")
+    if dot:
         member = getattr(sc, head)
-        sc = dataclasses.replace(sc, **{head: dataclasses.replace(member, **{leaf: value})})
-    else:
-        sc = dataclasses.replace(sc, **{path: value})
-    return derive_prices(sc)
+        value = type(member)(*_values_with(member, leaf, value))
+    return build_scenario(*_values_with(sc, head, value))
 
 
 def get_field(sc: VehicleScenario, path: str) -> float:

@@ -24,6 +24,21 @@ class FitError(ValueError):
     """Infeasible configuration or degenerate observations."""
 
 
+class ObservationError(ValueError):
+    """One invalid observation.
+
+    `reason` says what is wrong with it, `index` is its position in the
+    points as given and, for a repeated year, `first` is the position of
+    the earlier point with that year. A loader maps the positions to lines.
+    """
+
+    def __init__(self, reason: str, index: int, first: int | None = None) -> None:
+        first_at = "" if first is None else f" (first at observation {first})"
+        super().__init__(f"observation {index}: {reason}{first_at}; sales must be "
+                         "finite and non-negative, one observation per year")
+        self.reason, self.index, self.first = reason, index, first
+
+
 @dataclass(frozen=True)
 class ObservationSeries:
     """Observed (year, annual sales) pairs, sorted and validated."""
@@ -31,14 +46,16 @@ class ObservationSeries:
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted(self.points))
-        object.__setattr__(self, "points", pts)
-        years = [y for y, _ in pts]
-        if len(set(years)) != len(years):
-            dupes = sorted({y for y in years if years.count(y) > 1})
-            raise ValueError(f"duplicate observation years: {dupes}")
-        if any(s < 0 for _, s in pts):
-            raise ValueError("sales must be non-negative")
+        seen: dict[int, int] = {}
+        for i, (year, sales) in enumerate(self.points):
+            if not math.isfinite(sales):
+                raise ObservationError("non-finite sales", i)
+            if sales < 0:
+                raise ObservationError("negative sales", i)
+            if year in seen:
+                raise ObservationError(f"duplicate year {year}", i, seen[year])
+            seen[year] = i
+        object.__setattr__(self, "points", tuple(sorted(self.points)))
 
     @property
     def years(self) -> tuple[int, ...]:

@@ -61,21 +61,34 @@ def _apply_rebase(sc: cm.VehicleScenario, factor: FactorSpec) -> cm.VehicleScena
     return sc
 
 
-def perturb(base: cm.VehicleScenario, factor: FactorSpec, pct: float,
-            target: PremiumTarget = "lifecycle") -> float:
-    """Relative premium change when the factor's field moves by `pct`.
+def reference_point(base: cm.VehicleScenario, factor: FactorSpec,
+                    target: PremiumTarget = "lifecycle") -> tuple[cm.VehicleScenario, float]:
+    """The factor's re-based scenario and its premium, which `perturb` normalises by.
 
-    Returns (premium(perturbed) - premium(base)) / |premium(base)| with the
-    factor's re-based scenario as the reference.
+    Raises DegenerateBaseError when that premium is too close to zero.
     """
     sc = _apply_rebase(base, factor)
     reference = _premium(sc, target)
     if abs(reference) < DEGENERATE_BASE:
         raise DegenerateBaseError(
             f"{factor.id}: base premium {reference:.2e} too small to normalise")
+    return sc, reference
+
+
+def perturb(base: cm.VehicleScenario, factor: FactorSpec, pct: float,
+            target: PremiumTarget = "lifecycle",
+            reference: tuple[cm.VehicleScenario, float] | None = None) -> float:
+    """Relative premium change when the factor's field moves by `pct`.
+
+    Returns (premium(perturbed) - premium(base)) / |premium(base)| with the
+    factor's re-based scenario as the reference. `reference`, when given, is
+    `reference_point(base, factor, target)` computed once by the caller, so
+    that several points of one factor share it; the result is the same.
+    """
+    sc, premium = reference_point(base, factor, target) if reference is None else reference
     value = cm.get_field(sc, factor.accessor)
     moved = _premium(cm.replace_field(sc, factor.accessor, value * (1.0 + pct)), target)
-    return (moved - reference) / abs(reference)
+    return (moved - premium) / abs(premium)
 
 
 def coefficient(changes: Sequence[float],
@@ -100,10 +113,12 @@ def sensitivity_table(base: cm.VehicleScenario, factors: Sequence[FactorSpec],
     errors: dict[str, str] = {}
     for factor in factors:
         try:
-            changes = tuple(perturb(base, factor, pct, target) for pct in PERTURBATIONS)
+            reference = reference_point(base, factor, target)
         except DegenerateBaseError as exc:
             errors[factor.id] = str(exc)
             continue
+        changes = tuple(perturb(base, factor, pct, target, reference)
+                        for pct in PERTURBATIONS)
         rows.append(SensitivityRow(
             factor=factor.id, group=factor.group, base_label=factor.base_label,
             changes=changes, coefficient=coefficient(changes)))

@@ -10,6 +10,7 @@ parity analysis consume.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Mapping, Sequence
@@ -34,6 +35,16 @@ DEFAULT_STEP_FIELDS = frozenset({
     "ev_tax_exempt", "acquisition_subsidy", "credit_price", "purchase_tax_rate",
     "lifecycle_years",
 })
+
+
+# Ranges for anchor values that the cost model needs bounded: the first two
+# size loops in tco_npv, and (1 + discount_rate) ** year must neither
+# overflow nor reach zero. Values resolved between anchors stay in range.
+ANCHOR_LIMITS = {
+    "lifecycle_years": (1, 100),
+    "consumer_battery_replacements": (0, 100),
+    "discount_rate": (-0.5, 1.0),
+}
 
 
 class ScheduleError(ValueError):
@@ -69,7 +80,7 @@ class ScenarioSchedule:
         if years[0] > self.span[0]:
             raise ScheduleError("first entry must not postdate the span start")
         known = set(ALL_FIELDS)
-        # Each field's (year, value) anchors, indexed once; value_at reads them.
+        # Each field's (year, value) anchors, indexed once; values_at reads them.
         tracks: dict[str, list[tuple[int, object]]] = {}
         for e in self.entries:
             unknown = set(e.overrides) - known
@@ -80,6 +91,10 @@ class ScenarioSchedule:
                 if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
                     raise ScheduleError(
                         f"entry {e.year}: {name}: expected a finite number, got {value!r}")
+                lo, hi = ANCHOR_LIMITS.get(name, (-math.inf, math.inf))
+                if not lo <= value <= hi:
+                    raise ScheduleError(
+                        f"entry {e.year}: {name}: {value!r} outside [{lo}, {hi}]")
                 tracks.setdefault(name, []).append((e.year, value))
         object.__setattr__(self, "_tracks", tracks)
         first = self.entries[0].overrides
@@ -95,56 +110,71 @@ class ScenarioSchedule:
             if f_ not in first:
                 raise ScheduleError(f"first entry must define every field; missing {f_!r}")
 
-    def value_at(self, field_name: str, year: int) -> object:
-        """Resolve one field: step fields hold, others interpolate linearly."""
+    def values_at(self, year: int) -> dict[str, object]:
+        """Resolve, in one pass, every field whose first anchor is on or before `year`.
+
+        An anchor year gives its own value. Between anchors a step field (or
+        a bool) holds the earlier value and any other field interpolates
+        linearly. Past the last anchor the last value holds.
+        """
         if not (self.span[0] <= year <= self.span[1]):
             raise SpanError(
                 f"year {year} outside schedule span {self.span[0]}..{self.span[1]}")
-        track = self._tracks.get(field_name)
-        if not track:
-            raise ScheduleError(f"field {field_name!r} has no anchors")
-        if year < track[0][0]:
+        out = {}
+        for name, track in self._tracks.items():
+            prev_year, prev_val = track[0]
+            if year < prev_year:
+                continue
+            for anchor_year, anchor_val in track:
+                if anchor_year == year:
+                    out[name] = anchor_val
+                    break
+                if anchor_year > year:
+                    if name in self.step_fields or isinstance(prev_val, bool):
+                        out[name] = prev_val
+                    else:
+                        frac = (year - prev_year) / (anchor_year - prev_year)
+                        out[name] = prev_val + (anchor_val - prev_val) * frac
+                    break
+                prev_year, prev_val = anchor_year, anchor_val
+            else:
+                out[name] = prev_val
+        return out
+
+    def value_at(self, field_name: str, year: int) -> object:
+        """Resolve one field, as `values_at` does."""
+        values = self.values_at(year)
+        if field_name not in values:
+            if not self._tracks.get(field_name):
+                raise ScheduleError(f"field {field_name!r} has no anchors")
             raise SpanError(f"year {year} precedes first anchor for {field_name!r}")
-        prev_year, prev_val = track[0]
-        for anchor_year, anchor_val in track:
-            if anchor_year == year:
-                return anchor_val
-            if anchor_year > year:
-                if field_name in self.step_fields or isinstance(prev_val, bool):
-                    return prev_val
-                frac = (year - prev_year) / (anchor_year - prev_year)
-                return prev_val + (anchor_val - prev_val) * frac
-            prev_year, prev_val = anchor_year, anchor_val
-        return prev_val  # past the last anchor: hold
+        return values[field_name]
 
 
 def resolve_scenario(sched: ScenarioSchedule, year: int) -> cm.VehicleScenario:
-    """Materialize the schedule into one immutable model-year snapshot."""
-    def val(name: str):
-        return sched.value_at(name, year)
+    """Materialize the schedule into one immutable model-year snapshot.
 
-    ev = cm.EvPowertrain(*(val(f) for f in EV_FIELDS))
-    icev = cm.IcevPowertrain(*(val(f) for f in ICEV_FIELDS))
-    policy = cm.SubsidyPolicy(*(val(f) for f in POLICY_FIELDS))
-    usage_values = [val(f) for f in USAGE_FIELDS]
-    usage_values[0] = int(usage_values[0])
-    usage = cm.UsageProfile(*usage_values)
-    finance = cm.ResidualAndFinance(*(val(f) for f in FINANCE_FIELDS))
-
-    base = val("common_base_cost")
+    Every field read here is set by the first entry, so `values_at` has it.
+    """
+    v = sched.values_at(year)
     first = sched.entries[0].overrides
-    ev_margin = val("ev_price_margin") if "ev_price_margin" in first else None
-    icev_margin = val("icev_price_margin") if "icev_price_margin" in first else None
-    ev_price = 0.0 if ev_margin is not None else val("ev_price")
-    icev_price = 0.0 if icev_margin is not None else val("icev_price")
-    replacements = (int(val("consumer_battery_replacements"))
-                    if "consumer_battery_replacements" in first else 0)
-    sc = cm.VehicleScenario(
-        year=year, ev=ev, icev=icev, policy=policy, usage=usage,
-        finance=finance, prices=cm.MarketPrices(ev_price, icev_price, base),
-        ev_price_margin=ev_margin, icev_price_margin=icev_margin,
-        consumer_battery_replacements=replacements)
-    return cm.derive_prices(sc)
+    usage_values = [v[f] for f in USAGE_FIELDS]
+    usage_values[0] = int(usage_values[0])
+    ev_margin = v["ev_price_margin"] if "ev_price_margin" in first else None
+    icev_margin = v["icev_price_margin"] if "icev_price_margin" in first else None
+    return cm.build_scenario(
+        year,
+        cm.EvPowertrain(*[v[f] for f in EV_FIELDS]),
+        cm.IcevPowertrain(*[v[f] for f in ICEV_FIELDS]),
+        cm.SubsidyPolicy(*[v[f] for f in POLICY_FIELDS]),
+        cm.UsageProfile(*usage_values),
+        cm.ResidualAndFinance(*[v[f] for f in FINANCE_FIELDS]),
+        cm.MarketPrices(0.0 if ev_margin is not None else v["ev_price"],
+                        0.0 if icev_margin is not None else v["icev_price"],
+                        v["common_base_cost"]),
+        ev_margin, icev_margin,
+        int(v["consumer_battery_replacements"])
+        if "consumer_battery_replacements" in first else 0)
 
 
 @dataclass(frozen=True)
@@ -191,13 +221,13 @@ class PremiumSeries:
         return self.point(year).lifecycle
 
 
-def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
-    """All three premiums plus both LCODs for one resolved scenario."""
+def _evaluate(sc: cm.VehicleScenario) -> tuple[PremiumPoint, float, float]:
+    """`evaluate_year`'s point together with the EV and ICEV TCOs it used."""
     prod_ev = cm.production_cost_ev(sc.ev, sc.prices.common_base_cost)
     prod_icev = cm.production_cost_icev(sc.icev, sc.prices.common_base_cost)
     tco_ev = cm.tco_npv(sc, cm.VehicleKind.EV)
     tco_icev = cm.tco_npv(sc, cm.VehicleKind.ICEV)
-    return PremiumPoint(
+    point = PremiumPoint(
         year=sc.year,
         production=cm.production_premium(prod_ev, prod_icev),
         acquisition=cm.acquisition_premium(sc),
@@ -205,6 +235,12 @@ def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
         lcod_ev=cm.lcod(tco_ev, sc.usage),
         lcod_icev=cm.lcod(tco_icev, sc.usage),
     )
+    return point, tco_ev, tco_icev
+
+
+def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
+    """All three premiums plus both LCODs for one resolved scenario."""
+    return _evaluate(sc)[0]
 
 
 def premium_series(sched: ScenarioSchedule, years: Iterable[int]) -> PremiumSeries:

@@ -51,7 +51,7 @@ def test_load_sales_order_invariant(tmp_path):
 def test_load_sales_error_messages_carry_line_numbers(tmp_path):
     dup = tmp_path / "dup.csv"
     dup.write_text("year,annual_sales\n2020,5\n2020,6\n")
-    with pytest.raises(CliError, match="dup.csv:3: duplicate year 2020"):
+    with pytest.raises(CliError, match=r"dup.csv:3: duplicate year 2020 \(first at line 2\)"):
         load_sales_csv(str(dup))
 
     neg = tmp_path / "neg.csv"
@@ -178,6 +178,35 @@ def test_manifest_comments_present(tmp_path):
                           [command, "--data", sales, "--seed", "0",
                            "--population", "20", "--generations", "3"])
         assert f"# numpy: {np.__version__}" in out.read_text().splitlines()
+
+
+def test_load_sales_reports_the_offending_line_past_comments(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("# sales\nyear,annual_sales\n2010,1\n\n# note\n2011,nan\n")
+    with pytest.raises(CliError, match="gaps.csv:6: non-finite sales$"):
+        load_sales_csv(str(path))
+
+
+def test_forecast_rejects_a_compare_output_as_params(tmp_path, capsys):
+    sales = str(config.sample_sales_path())
+    compared = run_to_file(tmp_path, "cmp.csv",
+                           ["compare", "--data", sales, "--seed", "0",
+                            "--population", "20", "--generations", "3"])
+    capsys.readouterr()
+    out = tmp_path / "forecast.csv"
+    assert run(["forecast", "--params", str(compared), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(compared) in err and "single-row `fit` output" in err
+    assert not out.exists()
+
+
+def test_tco_prices_each_vehicle_once(tmp_path, monkeypatch):
+    from greenpremium import costmodel as cm
+    calls = []
+    original = cm.tco_npv
+    monkeypatch.setattr(cm, "tco_npv", lambda sc, kind: calls.append(kind) or original(sc, kind))
+    run_to_file(tmp_path, "tco.csv", ["tco", "--year", "2021"])
+    assert sorted(calls) == [cm.VehicleKind.EV, cm.VehicleKind.ICEV]
 
 
 def test_load_params_csv_rejects_wrong_file(tmp_path):

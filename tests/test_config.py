@@ -1,7 +1,12 @@
+import math
+
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from greenpremium import config
+from greenpremium.cli import run
 
 
 @pytest.fixture(params=["libyaml", "pure-python"])
@@ -34,3 +39,94 @@ def test_truncated_yaml_names_file_and_line(tmp_path, loader):
         config.load_schedule(str(bad))
     assert str(bad) in str(exc.value)
     assert "line " in str(exc.value)
+
+
+# --- fuzzing the scenario loader through the CLI -------------------------------
+
+_SHIPPED = yaml.safe_load(config.scenario_path("long-range").read_text())
+_FIRST = _SHIPPED["entries"][0]
+
+_wild = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=5),
+    st.sampled_from([0, -1, 1e308, -1e308, 5e-324, 10**400, 10**15]),
+    st.lists(st.integers(), max_size=2))
+_number = st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                    st.sampled_from([0, -1, 1e308, 10**15]))
+
+
+@st.composite
+def _entry_values(draw, template: dict, chaos: int) -> dict:
+    """The template's fields; each one, with odds `chaos` in 40, is dropped or
+    replaced by a number or by junk, and a stray key may be added."""
+    out = {}
+    for key, value in template.items():
+        roll = draw(st.integers(0, 39))
+        if roll >= chaos:
+            out[key] = value
+        elif roll % 4:
+            out[key] = draw(_number if roll % 4 < 3 else _wild)
+    if draw(st.integers(0, 39)) < chaos:
+        out[draw(st.text(max_size=8))] = draw(_wild)
+    return out
+
+
+@st.composite
+def _scenario_docs(draw):
+    chaos = draw(st.sampled_from([0, 1, 4, 20]))
+    later = draw(st.lists(st.integers(2011, 2040), max_size=3, unique=True))
+    years = [2010] + sorted(later)
+    if draw(st.integers(0, 39)) < chaos:
+        years = draw(st.lists(st.integers(1990, 2040) | _wild, min_size=1, max_size=4))
+    entries = [draw(_entry_values(_FIRST, chaos))]
+    for _ in years[1:]:
+        keys = draw(st.lists(st.sampled_from(list(_FIRST)), max_size=4))
+        entries.append(draw(_entry_values({k: draw(_number) for k in keys}, chaos)))
+    for entry, year in zip(entries, years):
+        entry["year"] = year
+    doc = {"name": "fuzz", "span": [2010, 2030],
+           "interpolation": _SHIPPED["interpolation"], "entries": entries}
+    for key in list(doc):
+        roll = draw(st.integers(0, 39))
+        if roll < chaos:
+            doc[key] = draw(_wild | st.lists(_wild, max_size=3)
+                            | st.dictionaries(st.text(max_size=4), _wild, max_size=2))
+        elif roll < 2 * chaos and roll % 2:
+            del doc[key]
+    return doc
+
+
+@given(doc=_scenario_docs() | st.text(max_size=200))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    scenario = workdir / "fuzz.yaml"
+    scenario.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
+    out = workdir / "series.csv"
+    code = run(["premium-series", "--scenario", str(scenario), "--out", str(out)])
+    assert code in (0, 1)
+    if code == 0:
+        rows = [r for r in out.read_text().splitlines() if not r.startswith("#")][1:]
+        assert rows
+        assert all(math.isfinite(float(v)) for r in rows for v in r.split(","))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("span: [2010, 2030]", "span: [2010]", "span must be a"),
+    ("span: [2010, 2030]", "span: 2010", "span must be a"),
+    ("  - year: 2013", "  - year: .inf", "infinity"),
+    ("  - year: 2013", "  - year: .nan", "NaN"),
+    ("interpolation:\n", "interpolation: null\nunused:\n", "interpolation must be a mapping"),
+    ("discount_rate: 0.05", "discount_rate: 1.0e+300", "discount_rate: 1e\\+300 outside"),
+    ("lifecycle_years: 10", "lifecycle_years: 1000000000000000", "lifecycle_years: .* outside"),
+], ids=["span-one-year", "span-scalar", "year-inf", "year-nan", "interpolation-null",
+        "discount-rate-huge", "lifecycle-years-huge"])
+def test_malformed_scenario_exits_1_naming_the_file(tmp_path, capsys, old, new, message):
+    text = config.scenario_path("long-range").read_text()
+    assert old in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(old, new, 1))
+    with pytest.raises(config.ConfigError, match=message):
+        config.load_schedule(str(bad))
+    assert run(["premium-series", "--scenario", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
+    assert str(bad) in capsys.readouterr().err

@@ -395,3 +395,92 @@ def test_invalid_inputs_rejected():
         cm.ResidualAndFinance(35000, 65000, -1.0)
     with pytest.raises(ValueError):
         cm.MarketPrices(-1, 100, 100)
+
+
+# --- the snapshot builder, bit for bit ----------------------------------------
+
+def _derive_by_replace(sc):
+    """derive_prices as it was: dataclasses.replace with re-derived prices."""
+    if sc.ev_price_margin is None and sc.icev_price_margin is None:
+        return sc
+    base = sc.prices.common_base_cost
+    ev_price, icev_price = sc.prices.ev_price, sc.prices.icev_price
+    if sc.ev_price_margin is not None:
+        ev_price = (1.0 + sc.ev_price_margin) * cm.production_cost_ev(sc.ev, base)
+    if sc.icev_price_margin is not None:
+        icev_price = (1.0 + sc.icev_price_margin) * cm.production_cost_icev(sc.icev, base)
+    return dataclasses.replace(sc, prices=cm.MarketPrices(ev_price, icev_price, base))
+
+
+def _replace_by_replace(sc, path, value):
+    """replace_field as it was: two dataclasses.replace calls, then derive."""
+    head, leaf = path.split(".", 1)
+    member = dataclasses.replace(getattr(sc, head), **{leaf: value})
+    return _derive_by_replace(dataclasses.replace(sc, **{head: member}))
+
+
+def _scenario_bits(sc):
+    """Every leaf value with its type and exact text (repr round-trips floats)."""
+    out = []
+    for f in dataclasses.fields(sc):
+        value = getattr(sc, f.name)
+        if dataclasses.is_dataclass(value):
+            out += [(f.name, g.name, type(getattr(value, g.name)), repr(getattr(value, g.name)))
+                    for g in dataclasses.fields(value)]
+        else:
+            out.append((f.name, type(value), repr(value)))
+    return out
+
+
+def _sensitivity_paths():
+    from greenpremium import sensitivity as sn
+    paths = {}
+    for factor in sn.default_factors():
+        paths.setdefault(factor.accessor, set()).update(factor.rebase.values())
+    return paths
+
+
+@pytest.mark.parametrize("margins", [True, False], ids=["derived", "explicit"])
+def test_replace_field_equals_dataclasses_replace_for_every_factor(long_range, margins):
+    from greenpremium import trajectory as tj
+    bases = ([tj.resolve_scenario(long_range, y) for y in (2010, 2015, 2021, 2030)]
+             if margins else [scenario_2021(), scenario_2021(consumer_battery_replacements=2)])
+    paths = _sensitivity_paths()
+    paths.update({p: set() for (p,) in CURRENCY_SCALABLE})
+    for sc in bases:
+        for path, rebases in paths.items():
+            current = cm.get_field(sc, path)
+            for value in (*rebases, current, current * 0.8, current * 1.2, 0.0):
+                got = cm.replace_field(sc, path, value)
+                want = _replace_by_replace(sc, path, value)
+                assert got == want
+                assert _scenario_bits(got) == _scenario_bits(want), (path, value)
+        assert _scenario_bits(cm.derive_prices(sc)) == _scenario_bits(_derive_by_replace(sc))
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("ev.battery_capacity", 0, "battery_capacity must be > 0"),
+    ("usage.annual_km", -1.0, "usage rates must be non-negative"),
+    ("usage.lifecycle_years", 0, "lifecycle_years"),
+    ("policy.purchase_tax_rate", 1.5, "purchase_tax_rate"),
+    ("finance.discount_rate", -1.0, "discount_rate"),
+    ("prices.common_base_cost", -1.0, "prices must be non-negative"),
+    ("icev.transmission_cost", -1.0, "ICEV powertrain costs"),
+])
+def test_replace_field_still_runs_member_checks(lr_2021, path, value, message):
+    with pytest.raises(ValueError, match=message):
+        cm.replace_field(lr_2021, path, value)
+
+
+def test_replace_field_rejects_unknown_paths(lr_2021):
+    with pytest.raises(TypeError, match="no field 'battery'"):
+        cm.replace_field(lr_2021, "ev.battery", 1.0)
+    with pytest.raises(TypeError, match="no field 'no_such'"):
+        cm.replace_field(lr_2021, "no_such", 1.0)
+
+
+def test_replace_field_top_level_margin_rederives_prices(lr_2021):
+    moved = cm.replace_field(lr_2021, "ev_price_margin", 0.25)
+    base = moved.prices.common_base_cost
+    assert moved.prices.ev_price == 1.25 * cm.production_cost_ev(moved.ev, base)
+    assert moved.prices.icev_price == lr_2021.prices.icev_price

@@ -6,7 +6,7 @@ import pytest
 from greenpremium import trajectory as tj
 from greenpremium.diffusion import BassParams, decision_coefficient, simulate
 from greenpremium.fitting import (DEFAULT_BOUNDS, FitConfig, FitError,
-                                  ObservationSeries, compare_models, ga_fit,
+                                  ObservationError, ObservationSeries, compare_models, ga_fit,
                                   objective, predictions, r_squared)
 
 
@@ -35,6 +35,19 @@ def test_observations_sorted_and_validated():
         ObservationSeries(((2010, 1.0), (2010, 2.0)))
     with pytest.raises(ValueError, match="non-negative"):
         ObservationSeries(((2010, -1.0),))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_observations_reject_non_finite_sales(bad):
+    with pytest.raises(ObservationError, match="observation 0: non-finite sales") as exc:
+        ObservationSeries(((2010, bad), (2011, 1.0)))
+    assert (exc.value.reason, exc.value.index, exc.value.first) == ("non-finite sales", 0, None)
+
+
+def test_observation_error_locates_the_first_bad_point_as_given():
+    with pytest.raises(ObservationError) as exc:
+        ObservationSeries(((2012, 1.0), (2010, 1.0), (2012, 2.0), (2013, -1.0)))
+    assert (exc.value.reason, exc.value.index, exc.value.first) == ("duplicate year 2012", 2, 0)
 
 
 # --- objective ---------------------------------------------------------------

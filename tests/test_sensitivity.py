@@ -1,5 +1,6 @@
 import pytest
 
+from greenpremium import config
 from greenpremium import costmodel as cm
 from greenpremium import sensitivity as sn
 from greenpremium import trajectory as tj
@@ -163,3 +164,61 @@ def test_tax_rate_coefficient_negative_in_every_year(long_range, short_range):
             if rows[0].coefficient >= 0:
                 positive.append((name, year, rows[0].coefficient))
     assert positive == []
+
+
+# --- one reference per factor, bit for bit ------------------------------------
+
+def _perturb_per_point(base, factor, pct, target):
+    """perturb as it was: re-base and price the reference at every point.
+    (replace_field itself is checked against dataclasses.replace in
+    test_costmodel.)"""
+    sc = base
+    for path, value in factor.rebase.items():
+        sc = cm.replace_field(sc, path, value)
+    reference = sn._premium(sc, target)
+    if abs(reference) < sn.DEGENERATE_BASE:
+        raise sn.DegenerateBaseError(
+            f"{factor.id}: base premium {reference:.2e} too small to normalise")
+    value = cm.get_field(sc, factor.accessor)
+    moved = sn._premium(cm.replace_field(sc, factor.accessor, value * (1.0 + pct)), target)
+    return (moved - reference) / abs(reference)
+
+
+SNAPSHOTS = [("long-range", 2021), ("short-range", 2021),
+             ("long-range", 2015), ("short-range", 2015), ("long-range", 2030)]
+
+
+@pytest.mark.parametrize("target", ["lifecycle", "acquisition", "production"])
+@pytest.mark.parametrize("scenario, year", SNAPSHOTS)
+def test_sensitivity_table_equals_per_point_transcription(scenario, year, target):
+    base = tj.resolve_scenario(config.load_schedule(scenario), year)
+    rows, errors = sn.sensitivity_table(base, sn.default_factors(), target)
+    got = {r.factor: (r.changes, r.coefficient) for r in rows}
+    for factor in sn.default_factors():
+        try:
+            changes = tuple(_perturb_per_point(base, factor, pct, target)
+                            for pct in sn.PERTURBATIONS)
+        except sn.DegenerateBaseError as exc:
+            assert errors[factor.id] == str(exc)
+            continue
+        want = (changes, sn.coefficient(changes))
+        assert repr(got[factor.id]) == repr(want), factor.id
+
+
+@pytest.mark.parametrize("target", ["lifecycle", "acquisition", "production"])
+def test_perturb_with_precomputed_reference_is_identical(lr_2021, target):
+    for factor in sn.default_factors():
+        reference = sn.reference_point(lr_2021, factor, target)
+        for pct in (*sn.PERTURBATIONS, 0.0, 0.5):
+            alone = sn.perturb(lr_2021, factor, pct, target)
+            shared = sn.perturb(lr_2021, factor, pct, target, reference=reference)
+            assert repr(alone) == repr(shared), (factor.id, pct)
+            assert alone == _perturb_per_point(lr_2021, factor, pct, target)
+
+
+def test_sensitivity_table_calls_perturb_once_per_point(lr_2021, monkeypatch):
+    calls = []
+    original = sn.perturb
+    monkeypatch.setattr(sn, "perturb", lambda *a, **k: calls.append(a) or original(*a, **k))
+    rows, errors = sn.sensitivity_table(lr_2021, sn.default_factors())
+    assert len(calls) == len(sn.PERTURBATIONS) * len(rows) == 56

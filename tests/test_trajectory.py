@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from greenpremium import config
 from greenpremium import costmodel as cm
 from greenpremium import trajectory as tj
 
@@ -183,3 +186,132 @@ def test_subsidy_withdrawal_rebound(lr_series, sr_series):
 def test_class_ordering_production_premium(lr_series, sr_series):
     for year in range(2010, 2031):
         assert lr_series.point(year).production >= sr_series.point(year).production - 1e-12
+
+
+# --- one-pass resolution, bit for bit -------------------------------------------
+
+def _bits(value):
+    """A value's type and exact text; repr round-trips floats, so equal
+    _bits means equal bits (0.0 and -0.0 differ here, unlike ==)."""
+    return type(value), repr(value)
+
+
+def _snapshot_bits(sc):
+    return [(name, _bits(getattr(member, name)))
+            for member in (sc.ev, sc.icev, sc.policy, sc.usage, sc.finance, sc.prices)
+            for name in member.__dataclass_fields__] + [
+        (name, _bits(getattr(sc, name)))
+        for name in ("year", "ev_price_margin", "icev_price_margin",
+                     "consumer_battery_replacements")]
+
+
+def _value_at_reference(sched, field_name, year):
+    """The per-field resolution as it was before values_at, reading the
+    anchors straight from the entries; None when the field has none yet."""
+    track = [(e.year, e.overrides[field_name]) for e in sched.entries
+             if field_name in e.overrides]
+    if not track or year < track[0][0]:
+        return None
+    prev_year, prev_val = track[0]
+    for anchor_year, anchor_val in track:
+        if anchor_year == year:
+            return anchor_val
+        if anchor_year > year:
+            if field_name in sched.step_fields or isinstance(prev_val, bool):
+                return prev_val
+            frac = (year - prev_year) / (anchor_year - prev_year)
+            return prev_val + (anchor_val - prev_val) * frac
+        prev_year, prev_val = anchor_year, anchor_val
+    return prev_val
+
+
+def _resolve_field_by_field(sched, year):
+    """The resolution as it was before values_at: one reference lookup per
+    field, then a derive step on a scenario built with placeholder prices."""
+    def val(name):
+        return _value_at_reference(sched, name, year)
+
+    first = sched.entries[0].overrides
+    usage = [val(f) for f in tj.USAGE_FIELDS]
+    usage[0] = int(usage[0])
+    ev_margin = val("ev_price_margin") if "ev_price_margin" in first else None
+    icev_margin = val("icev_price_margin") if "icev_price_margin" in first else None
+    sc = cm.VehicleScenario(
+        year=year, ev=cm.EvPowertrain(*(val(f) for f in tj.EV_FIELDS)),
+        icev=cm.IcevPowertrain(*(val(f) for f in tj.ICEV_FIELDS)),
+        policy=cm.SubsidyPolicy(*(val(f) for f in tj.POLICY_FIELDS)),
+        usage=cm.UsageProfile(*usage),
+        finance=cm.ResidualAndFinance(*(val(f) for f in tj.FINANCE_FIELDS)),
+        prices=cm.MarketPrices(0.0 if ev_margin is not None else val("ev_price"),
+                               0.0 if icev_margin is not None else val("icev_price"),
+                               val("common_base_cost")),
+        ev_price_margin=ev_margin, icev_price_margin=icev_margin,
+        consumer_battery_replacements=(int(val("consumer_battery_replacements"))
+                                       if "consumer_battery_replacements" in first else 0))
+    base = sc.prices.common_base_cost
+    ev_price, icev_price = sc.prices.ev_price, sc.prices.icev_price
+    if ev_margin is not None:
+        ev_price = (1.0 + ev_margin) * cm.production_cost_ev(sc.ev, base)
+    if icev_margin is not None:
+        icev_price = (1.0 + icev_margin) * cm.production_cost_icev(sc.icev, base)
+    return dataclasses.replace(sc, prices=cm.MarketPrices(ev_price, icev_price, base))
+
+
+@pytest.mark.parametrize("name", ["long-range", "short-range", "battery-only"])
+def test_values_at_equals_per_field_resolution_for_every_field_and_year(name):
+    sched = battery_only_schedule() if name == "battery-only" else config.load_schedule(name)
+    for year in range(sched.span[0], sched.span[1] + 1):
+        values = sched.values_at(year)
+        for field_name in tj.ALL_FIELDS:
+            expected = _value_at_reference(sched, field_name, year)
+            if expected is None:
+                assert field_name not in values
+                with pytest.raises(tj.ScheduleError):
+                    sched.value_at(field_name, year)
+                continue
+            assert _bits(values[field_name]) == _bits(expected), (field_name, year)
+            assert _bits(sched.value_at(field_name, year)) == _bits(expected)
+
+
+@pytest.mark.parametrize("name", ["long-range", "short-range", "battery-only"])
+def test_resolve_scenario_equals_field_by_field_resolution(name):
+    sched = battery_only_schedule() if name == "battery-only" else config.load_schedule(name)
+    for year in range(sched.span[0], sched.span[1] + 1):
+        got = tj.resolve_scenario(sched, year)
+        want = _resolve_field_by_field(sched, year)
+        assert got == want
+        assert _snapshot_bits(got) == _snapshot_bits(want), year
+
+
+def test_values_at_leaves_out_fields_not_yet_anchored():
+    sched = battery_only_schedule()
+    staged = tj.ScenarioSchedule(
+        name="staged", vehicle_class="x", span=(2010, 2030),
+        entries=(sched.entries[0],
+                 tj.ScheduleEntry(2015, {"consumer_battery_replacements": 1})))
+    assert "consumer_battery_replacements" not in staged.values_at(2014)
+    assert staged.values_at(2015)["consumer_battery_replacements"] == 1
+    with pytest.raises(tj.SpanError, match="precedes first anchor"):
+        staged.value_at("consumer_battery_replacements", 2014)
+    with pytest.raises(tj.SpanError):
+        staged.values_at(2031)
+
+
+@pytest.mark.parametrize("name, value", [("lifecycle_years", 101),
+                                         ("lifecycle_years", 10**15),
+                                         ("consumer_battery_replacements", 10**15),
+                                         ("consumer_battery_replacements", -1),
+                                         ("discount_rate", 1e300),
+                                         ("discount_rate", -0.99999)])
+def test_schedule_rejects_anchor_outside_cost_model_limits(name, value):
+    first = dict(battery_only_schedule().entries[0].overrides)
+    with pytest.raises(tj.ScheduleError, match=f"entry 2010: {name}: .* outside"):
+        tj.ScenarioSchedule("bad", "x", (2010, 2030),
+                            entries=(tj.ScheduleEntry(2010, {**first, name: value}),))
+
+
+def test_evaluate_returns_the_tcos_evaluate_year_used(lr_2021):
+    point, tco_ev, tco_icev = tj._evaluate(lr_2021)
+    assert point == tj.evaluate_year(lr_2021)
+    assert tco_ev == cm.tco_npv(lr_2021, cm.VehicleKind.EV)
+    assert tco_icev == cm.tco_npv(lr_2021, cm.VehicleKind.ICEV)
