@@ -290,7 +290,10 @@ def cmd_forecast(args) -> None:
     if horizon < 1:
         raise CliError("--to must not precede --from")
     series = tj.premium_series(sched, range(args.year_from, args.year_to + 1))
-    states = simulate(params, series, args.year_from, horizon)
+    try:
+        states = simulate(params, series, args.year_from, horizon)
+    except ValueError as exc:
+        raise CliError(f"{args.params}: {exc}") from exc
     rows = []
     for s in states:
         dp3 = series.lifecycle(s.year)

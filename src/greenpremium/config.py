@@ -82,6 +82,7 @@ def load_schedule(ref: str) -> ScenarioSchedule:
             span=(int(span[0]), int(span[1])),
             entries=entries,
             step_fields=step,
+            source=str(path),
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc

@@ -107,7 +107,7 @@ def simulate(params: BassParams,
 
     With a premium series, each year's flow is scaled by
     decision_coefficient(lifecycle premium, beta); the series must cover
-    every simulated year.
+    every simulated year, and each coefficient must be finite.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -118,6 +118,10 @@ def simulate(params: BassParams,
             raise ValueError(f"premium series missing years {missing}")
     dp3 = [0.0 if premium_by_year is None else premium_by_year.lifecycle(y)
            for y in years]
+    for year, premium in zip(years, dp3):
+        if not math.isfinite(decision_coefficient(premium, params.beta)):
+            raise ValueError(f"decision coefficient 1 + premium * beta is not finite "
+                             f"in {year} (beta = {params.beta!r})")
     flow, _ = flows(params.p, params.q, params.m, params.beta, dp3, initial_cumulative)
     row = flow[0].tolist()
     entering = accumulate(row, initial=min(initial_cumulative, params.m))

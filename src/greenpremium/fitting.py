@@ -11,8 +11,10 @@ generator drawn in a fixed order, so a seed fully determines the result.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from time import perf_counter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -204,6 +206,163 @@ def objective(params: BassParams, obs: ObservationSeries,
     return float(problem.evaluate(np.array([genome]))[0])
 
 
+class _Draws:
+    """One generation's fitness-independent draws, in the documented order.
+
+    `fill` draws the tournament contenders, stored as (contender, slot,
+    child); one uniform block, from which the crossover flags become the
+    keep-parent-A mask and the mutation flags the mutate mask, while the
+    blend weights are read as drawn; and standard normal noise scaled by
+    each gene's sigma.
+    """
+
+    def __init__(self, rng: np.random.Generator, n_pop: int, cfg: FitConfig,
+                 sigma_rows: np.ndarray) -> None:
+        n_children, n_genes = sigma_rows.shape
+        self.rng, self.n_pop, self.sigma_rows = rng, n_pop, sigma_rows
+        self.cx_prob, self.mut_prob = cfg.crossover_prob, cfg.mutation_prob
+        self.cands = np.empty((3, 2, n_children), dtype=np.int64)
+        self.uniforms = np.empty(n_children * (1 + 2 * n_genes))
+        self.cx_u = self.uniforms[:n_children]
+        self.blend_u, self.mut_u = self.uniforms[n_children:].reshape(2, n_children, n_genes)
+        self.keep_a = np.empty((n_children, 1), dtype=bool)
+        self.mutate = np.empty((n_children, n_genes), dtype=bool)
+        self.noise = np.empty((n_children, n_genes))
+
+    def fill(self) -> _Draws:
+        n_children = len(self.noise)
+        np.copyto(self.cands, self.rng.integers(0, self.n_pop, size=(n_children, 2, 3))
+                  .transpose(2, 1, 0))
+        self.rng.random(out=self.uniforms)
+        np.greater_equal(self.cx_u, self.cx_prob, out=self.keep_a[:, 0])
+        np.less(self.mut_u, self.mut_prob, out=self.mutate)
+        self.rng.standard_normal(out=self.noise)
+        self.noise *= self.sigma_rows
+        return self
+
+
+# Populations from this size make each generation's draws one generation
+# ahead on a helper thread. Below it the handover costs more than the
+# overlap saves; see CHANGES.md for the sweep this value comes from.
+_AHEAD_MIN_POPULATION = 4096
+# After this many generations, a fitting thread that has spent more than this
+# share of its time waiting for the helper stops it and draws inline: on a
+# host whose second CPU is busy or stolen, the waits cost more than drawing.
+_AHEAD_JUDGED_AFTER = 10
+_AHEAD_MAX_WAIT_SHARE = 0.1
+
+
+class _DrawSource:
+    """Hands out each generation's draws, in generation order.
+
+    With `ahead`, a helper thread fills generation g+1's set while g is in
+    use. Only one thread draws from the generator at a time, always the
+    next generation, so the stream is the one inline drawing makes. Two
+    sets alternate: `free` counts the sets the helper may fill and `filled`
+    the sets ready for use. A set is handed back when the next one is
+    taken, so the helper draws at most one generation past the last one
+    used. `close` (also run on leaving a `with` block) stops and joins it,
+    and the set it filled last, if any, is handed out next. `next` closes
+    it early once the fitting thread has waited too long for it
+    (`_AHEAD_MAX_WAIT_SHARE`); later sets are drawn inline.
+    """
+
+    def __init__(self, make_set: Callable[[], _Draws], generations: int,
+                 ahead: bool) -> None:
+        self.sets = (make_set(), make_set()) if ahead else (make_set(),)
+        self.taken = 0
+        self.pending = False
+        self.error: BaseException | None = None
+        self.thread: threading.Thread | None = None
+        if ahead:
+            self.free, self.filled = threading.Semaphore(2), threading.Semaphore(0)
+            self.stop = False
+            self.waited = 0.0
+            self.started = perf_counter()
+            self.thread = threading.Thread(target=self._run, args=(generations,),
+                                           name="ga-draws", daemon=True)
+            self.thread.start()
+
+    def _run(self, generations: int) -> None:
+        try:
+            for g in range(generations):
+                self.free.acquire()
+                if self.stop:
+                    return
+                self.sets[g % 2].fill()
+                self.filled.release()
+        except BaseException as exc:    # next() raises it in the fitting thread
+            self.error = exc
+            self.filled.release()
+
+    def next(self) -> _Draws:
+        if self.error is not None:
+            raise self.error
+        draws = self.sets[self.taken % len(self.sets)]
+        self.taken += 1
+        if self.thread is None:
+            if self.pending:
+                self.pending = False
+                return draws
+            return draws.fill()
+        if self.taken > 1:
+            self.free.release()
+        if not self.filled.acquire(blocking=False):
+            start = perf_counter()
+            self.filled.acquire()
+            self.waited += perf_counter() - start
+        if self.error is not None:
+            raise self.error
+        if (self.taken >= _AHEAD_JUDGED_AFTER
+                and self.waited > _AHEAD_MAX_WAIT_SHARE * (perf_counter() - self.started)):
+            self.close()
+        return draws
+
+    def __enter__(self) -> _DrawSource:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self.thread is None:
+            return
+        self.stop = True
+        self.free.release()
+        self.thread.join()
+        self.thread = None
+        self.pending = self.filled.acquire(blocking=False)
+
+
+def _breed(pop: np.ndarray, fitness: np.ndarray, draws: _Draws, children: np.ndarray,
+           lo_rows: np.ndarray, hi_rows: np.ndarray) -> None:
+    """Fill `children` from `pop` with one generation's draws."""
+    # Tournaments of three per parent slot: strict compares keep the first
+    # of equal contenders, as argmin does (for any fitness without NaN).
+    cands = draws.cands
+    fit = fitness.take(cands)
+    first = fit[1] < fit[0]
+    winners = np.where(first, cands[1], cands[0])
+    np.copyto(winners, cands[2], where=fit[2] < np.where(first, fit[1], fit[0]))
+    pa, pb = pop.take(winners, axis=0)
+
+    # BLX-0.5 blend: sample inside the parent interval widened by half
+    # its span on each side; non-crossover children copy parent A.
+    # In place: children = gmin - 0.5*span + blend_u*(2.0*span), rounded in that order.
+    gmin = np.minimum(pa, pb)
+    span = np.maximum(pa, pb)
+    span -= gmin
+    np.multiply(span, 0.5, out=children)
+    np.subtract(gmin, children, out=children)
+    span *= 2.0
+    span *= draws.blend_u
+    children += span
+    np.copyto(children, pa, where=draws.keep_a)
+    np.add(children, draws.noise, out=children, where=draws.mutate)
+    np.maximum(children, lo_rows, out=children)
+    np.minimum(children, hi_rows, out=children)
+
+
 def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
            cfg: FitConfig) -> FitResult:
     """Estimate parameters by generational GA; deterministic per rng_seed."""
@@ -225,80 +384,52 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     rng = np.random.default_rng(cfg.rng_seed)
     n_pop, n_genes = cfg.population_size, len(gene_names)
     pop = lo + rng.random((n_pop, n_genes)) * (hi - lo)
-    fitness = problem.evaluate(pop)
 
-    # Each generation draws, in this order: tournament contenders; one uniform
-    # block split into crossover flags, blend weights and mutation flags; and
-    # standard normal mutation noise. Children go straight into the rows after
-    # the elite of the other population buffer, and the buffers then swap.
+    # Children go straight into the rows after the elite of the other
+    # population buffer, and the buffers then swap.
     n_children = n_pop - 1
-    uniforms = np.empty(n_children * (1 + 2 * n_genes))
-    cx_u = uniforms[:n_children]
-    blend_u, mut_u = uniforms[n_children:].reshape(2, n_children, n_genes)
-    mut_noise = np.empty((n_children, n_genes))
     # Per-gene vectors repeated per child: same-shape operands are cheaper than broadcasts.
     lo_rows, hi_rows, sigma_rows = (np.tile(v, (n_children, 1)) for v in (lo, hi, sigma))
     next_pop = np.empty_like(pop)
-    next_fitness = np.empty_like(fitness)
+    next_fitness = np.empty(n_pop)
 
     history: list[float] = []
-    best_obj = float(np.min(fitness))
     stale = 0
     generations = 0
     converged = False
-    for _ in range(cfg.max_generations):
-        generations += 1
-        order = int(np.argmin(fitness))
-        next_pop[0] = pop[order]
-        next_fitness[0] = fitness[order]
+    source = _DrawSource(lambda: _Draws(rng, n_pop, cfg, sigma_rows), cfg.max_generations,
+                         ahead=n_pop >= _AHEAD_MIN_POPULATION and cfg.max_generations > 0)
+    # Leaving the block joins the helper. A genome whose squared error
+    # overflows scores inf and loses every tournament.
+    with source, np.errstate(over="ignore"):
+        fitness = problem.evaluate(pop)
+        best_obj = float(np.min(fitness))
+        for _ in range(cfg.max_generations):
+            generations += 1
+            order = int(np.argmin(fitness))
+            next_pop[0] = pop[order]
+            next_fitness[0] = fitness[order]
+            _breed(pop, fitness, source.next(), next_pop[1:], lo_rows, hi_rows)
 
-        contenders = rng.integers(0, n_pop, size=(n_children, 2, 3))
-        rng.random(out=uniforms)
-        rng.standard_normal(out=mut_noise)
-        mut_noise *= sigma_rows
+            # Rows evaluate independently, so the elite keeps its fitness.
+            next_fitness[1:] = problem.evaluate(next_pop[1:])
+            pop, next_pop = next_pop, pop
+            fitness, next_fitness = next_fitness, fitness
 
-        # Tournaments of three per parent slot: strict compares keep the first
-        # of equal contenders, as argmin does (fitness is finite).
-        cands = contenders.transpose(2, 1, 0).copy()    # (contender, slot, child)
-        fit = fitness.take(cands)
-        first = fit[1] < fit[0]
-        winners = np.where(first, cands[1], cands[0])
-        np.copyto(winners, cands[2], where=fit[2] < np.where(first, fit[1], fit[0]))
-        pa, pb = pop.take(winners, axis=0)
+            gen_best = float(np.min(fitness))
+            history.append(gen_best)
+            if best_obj - gen_best > cfg.stagnation_tol:
+                stale = 0
+            else:
+                stale += 1
+            best_obj = min(best_obj, gen_best)
+            if cfg.early_stop and stale >= cfg.stagnation_patience:
+                converged = True
+                break
 
-        # BLX-0.5 blend: sample inside the parent interval widened by half
-        # its span on each side; non-crossover children copy parent A.
-        # In place: children = gmin - 0.5*span + blend_u*(2.0*span), rounded in that order.
-        children = next_pop[1:]
-        gmin = np.minimum(pa, pb)
-        span = np.maximum(pa, pb)
-        span -= gmin
-        np.multiply(span, 0.5, out=children)
-        np.subtract(gmin, children, out=children)
-        span *= 2.0
-        span *= blend_u
-        children += span
-        np.copyto(children, pa, where=(cx_u >= cfg.crossover_prob)[:, None])
-        np.add(children, mut_noise, out=children, where=mut_u < cfg.mutation_prob)
-        np.maximum(children, lo_rows, out=children)
-        np.minimum(children, hi_rows, out=children)
-
-        # Rows evaluate independently, so the elite keeps its fitness.
-        next_fitness[1:] = problem.evaluate(children)
-        pop, next_pop = next_pop, pop
-        fitness, next_fitness = next_fitness, fitness
-
-        gen_best = float(np.min(fitness))
-        history.append(gen_best)
-        if best_obj - gen_best > cfg.stagnation_tol:
-            stale = 0
-        else:
-            stale += 1
-        best_obj = min(best_obj, gen_best)
-        if cfg.early_stop and stale >= cfg.stagnation_patience:
-            converged = True
-            break
-
+    if not math.isfinite(best_obj):
+        raise FitError("degenerate fit: no genome has a finite objective; sales this "
+                       "large overflow the squared error (sales are in thousand vehicles)")
     winner = pop[int(np.argmin(fitness))]
     values = dict(zip(gene_names, (float(v) for v in winner)))
     # Clamping puts a gene exactly on its bound, so == finds it.
@@ -334,10 +465,15 @@ def r_squared(predicted: Sequence[float], observed: Sequence[float]) -> float:
     if len(predicted) != len(observed) or len(observed) < 2:
         raise ValueError("need equal-length series of at least 2 points")
     mean = sum(observed) / len(observed)
-    sst = sum((o - mean) ** 2 for o in observed)
+    try:
+        sst = sum((o - mean) ** 2 for o in observed)
+        sse = sum((p - o) ** 2 for p, o in zip(predicted, observed))
+    except OverflowError:
+        sst = sse = math.inf
     if sst == 0:
         raise ValueError("R^2 undefined: observations are all equal")
-    sse = sum((p - o) ** 2 for p, o in zip(predicted, observed))
+    if not math.isfinite(sst + sse):
+        raise ValueError("R^2 undefined: squared deviations are not finite")
     return 1.0 - sse / sst
 
 

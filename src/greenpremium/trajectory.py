@@ -70,6 +70,8 @@ class ScenarioSchedule:
     span: tuple[int, int]
     entries: tuple[ScheduleEntry, ...]
     step_fields: frozenset[str] = field(default=DEFAULT_STEP_FIELDS)
+    # The file the schedule was read from, named in resolution errors.
+    source: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         years = [e.year for e in self.entries]
@@ -155,6 +157,8 @@ def resolve_scenario(sched: ScenarioSchedule, year: int) -> cm.VehicleScenario:
     """Materialize the schedule into one immutable model-year snapshot.
 
     Every field read here is set by the first entry, so `values_at` has it.
+    A value-object check that fails here is raised as a `ScheduleError`
+    naming the schedule's source file, when known, and the year.
     """
     v = sched.values_at(year)
     first = sched.entries[0].overrides
@@ -162,19 +166,23 @@ def resolve_scenario(sched: ScenarioSchedule, year: int) -> cm.VehicleScenario:
     usage_values[0] = int(usage_values[0])
     ev_margin = v["ev_price_margin"] if "ev_price_margin" in first else None
     icev_margin = v["icev_price_margin"] if "icev_price_margin" in first else None
-    return cm.build_scenario(
-        year,
-        cm.EvPowertrain(*[v[f] for f in EV_FIELDS]),
-        cm.IcevPowertrain(*[v[f] for f in ICEV_FIELDS]),
-        cm.SubsidyPolicy(*[v[f] for f in POLICY_FIELDS]),
-        cm.UsageProfile(*usage_values),
-        cm.ResidualAndFinance(*[v[f] for f in FINANCE_FIELDS]),
-        cm.MarketPrices(0.0 if ev_margin is not None else v["ev_price"],
-                        0.0 if icev_margin is not None else v["icev_price"],
-                        v["common_base_cost"]),
-        ev_margin, icev_margin,
-        int(v["consumer_battery_replacements"])
-        if "consumer_battery_replacements" in first else 0)
+    try:
+        return cm.build_scenario(
+            year,
+            cm.EvPowertrain(*[v[f] for f in EV_FIELDS]),
+            cm.IcevPowertrain(*[v[f] for f in ICEV_FIELDS]),
+            cm.SubsidyPolicy(*[v[f] for f in POLICY_FIELDS]),
+            cm.UsageProfile(*usage_values),
+            cm.ResidualAndFinance(*[v[f] for f in FINANCE_FIELDS]),
+            cm.MarketPrices(0.0 if ev_margin is not None else v["ev_price"],
+                            0.0 if icev_margin is not None else v["icev_price"],
+                            v["common_base_cost"]),
+            ev_margin, icev_margin,
+            int(v["consumer_battery_replacements"])
+            if "consumer_battery_replacements" in first else 0)
+    except ValueError as exc:
+        where = "" if sched.source is None else f"{sched.source}: "
+        raise ScheduleError(f"{where}year {year}: {exc}") from exc
 
 
 @dataclass(frozen=True)

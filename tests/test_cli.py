@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from greenpremium import config
 from greenpremium.cli import (CliError, load_params_csv, load_sales_csv, run)
@@ -88,6 +91,18 @@ def test_scenario_value_that_is_not_a_finite_number_names_file_entry_and_field(
     err = capsys.readouterr().err
     assert (f"{bad}: entry 2010: battery_unit_cost: expected a finite number, "
             f"got {shown}") in err
+
+
+def test_value_check_failing_while_a_year_resolves_names_file_and_year(tmp_path, capsys):
+    text = config.scenario_path("long-range").read_text()
+    assert "    ev_price_margin: 0.4115\n" in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace("ev_price_margin: 0.4115", "ev_price_margin: -2.0", 1))
+    out = tmp_path / "series.csv"
+    assert run(["premium-series", "--scenario", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: year 2010: prices must be non-negative\n" in err
+    assert not out.exists()
 
 
 # --- commands ----------------------------------------------------------------
@@ -276,6 +291,18 @@ def test_forecast_rejects_non_finite_params(tmp_path, capsys, p, q, m):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", ["1e308", "-1e308"])
+def test_forecast_rejects_a_beta_whose_decision_coefficient_overflows(tmp_path, capsys, beta):
+    params = tmp_path / "params.csv"
+    params.write_text(f"p,q,beta,m\n0.001,0.5,{beta},80000\n")
+    out = tmp_path / "forecast.csv"
+    assert run(["forecast", "--params", str(params), "--out", str(out)]) == 1
+    assert (f"{params}: decision coefficient 1 + premium * beta is not finite in 2010"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_compare_reports_parameter_on_bound(tmp_path, capsys):
     sales = str(config.sample_sales_path())
     out = run_to_file(tmp_path, "cmp.csv", ["compare", "--data", sales, "--seed", "0"])
@@ -301,3 +328,93 @@ def test_scenario_commands_do_not_import_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- fuzzing the sales and params files through the CLI -----------------------
+
+_junk = st.one_of(st.text(max_size=6), st.sampled_from(["", "nan", "-inf", "1e999", "0x10",
+                                                        "1,2", "  3 ", "true"]))
+_real = st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                  st.sampled_from([0, -1, 5e-324, 1e-300, 1e15, 1e154, 1e200, 1e308, 10**400]))
+
+
+def _cell(chaos: int, scale: float = 1.0):
+    """A sane number times `scale` with odds 40 - chaos in 40; otherwise any
+    number, or junk one time in four."""
+    return st.integers(0, 39).flatmap(
+        lambda roll: st.floats(0.0, 1e4).map(lambda v: v * scale) if roll >= chaos else (
+            _real.map(str) if roll % 4 else _junk))
+
+
+@st.composite
+def _sales_texts(draw):
+    chaos = draw(st.sampled_from([0, 1, 4, 20]))
+    # Sales in the wrong unit: scales whose squares overflow a double.
+    scale = draw(st.sampled_from([1.0, 1.0, 1e6, 1e150, 1e200, 1e300]))
+    start = draw(st.integers(2000, 2030))
+    years = list(range(start, start + draw(st.integers(0, 16))))
+    if draw(st.integers(0, 39)) < chaos:
+        years = draw(st.lists(st.integers(1990, 2040), max_size=14))
+    lines = ["year,annual_sales" if draw(st.integers(0, 39)) >= chaos
+             else draw(st.sampled_from(["year, annual_sales", "year;annual_sales", "x,y", ""]))]
+    for year in years:
+        value = draw(_cell(chaos, scale))
+        lines.append(f"{year},{value}")
+        if draw(st.integers(0, 39)) < chaos:
+            lines.append(draw(st.sampled_from(["# note", "", f"{year}", f"{year},1,2"])))
+    return "\n".join(lines) + "\n"
+
+
+def _written_values_are_finite(path, skip=()):
+    rows = parse_csv(path)
+    assert rows
+    assert all(math.isfinite(float(v)) for r in rows for k, v in r.items() if k not in skip)
+
+
+@given(text=_sales_texts() | st.text(max_size=200), vanilla=st.booleans())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_fuzzed_sales_file_fits_cleanly_with_finite_output(text, vanilla, tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    sales = workdir / "sales.csv"
+    sales.write_text(text)
+    out = workdir / "fit.csv"
+    code = run(["fit", "--data", str(sales), "--seed", "0", "--population", "8",
+                "--generations", "3", *(["--vanilla"] if vanilla else []), "--out", str(out)])
+    event(f"exit {code}")
+    assert code in (0, 1)
+    if code == 0:
+        _written_values_are_finite(out, skip=("converged",))
+
+
+@st.composite
+def _params_texts(draw):
+    chaos = draw(st.sampled_from([0, 1, 4, 20]))
+    names = ["p", "q", "beta", "m", "objective"]
+    if draw(st.integers(0, 39)) < chaos:
+        names = draw(st.permutations(names + ["x"]))[:draw(st.integers(0, 6))]
+    # A finite beta so large that 1 + beta * premium overflows is still a float.
+    sane = {"p": st.floats(1e-4, 0.02), "q": st.floats(0.05, 0.8),
+            "beta": st.floats(-8.0, 2.0) | st.sampled_from([-1e308, 1e300, 1e308]),
+            "m": st.floats(21_000.0, 150_000.0)}
+    rows = [",".join(names)]
+    for _ in range(1 if draw(st.integers(0, 39)) >= chaos else draw(st.integers(0, 3))):
+        rows.append(",".join(
+            str(draw(sane[n])) if n in sane and draw(st.integers(0, 39)) >= chaos
+            else draw(_real.map(str) | _junk) for n in names))
+    return "# greenpremium fit\n" + "\n".join(rows) + "\n"
+
+
+@given(text=_params_texts() | st.text(max_size=200))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_fuzzed_params_file_forecasts_cleanly_with_finite_output(text, tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    params = workdir / "params.csv"
+    params.write_text(text)
+    out = workdir / "forecast.csv"
+    code = run(["forecast", "--params", str(params), "--out", str(out)])
+    event(f"exit {code}")
+    assert code in (0, 1)
+    if code == 0:
+        _written_values_are_finite(out)

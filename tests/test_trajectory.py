@@ -39,6 +39,19 @@ def test_linear_interpolation_hits_anchor_years():
         assert sched.value_at("battery_unit_cost", year) == value
 
 
+def test_value_check_failing_in_resolution_names_source_and_year():
+    sched = battery_only_schedule()
+    negative_cost = sched.entries[:2] + (tj.ScheduleEntry(2025, {"battery_unit_cost": -650}),)
+    bad = dataclasses.replace(sched, entries=negative_cost)
+    assert tj.resolve_scenario(bad, 2021).year == 2021
+    with pytest.raises(tj.ScheduleError, match=r"^year 2024: .*non-negative"):
+        tj.resolve_scenario(bad, 2024)
+    named = dataclasses.replace(bad, source="lr.yaml")
+    assert named == bad
+    with pytest.raises(tj.ScheduleError, match=r"^lr\.yaml: year 2025: "):
+        tj.resolve_scenario(named, 2025)
+
+
 def test_linear_interpolation_between_anchors():
     sched = battery_only_schedule()
     assert sched.value_at("battery_unit_cost", 2023) == pytest.approx(735.0)
