@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 
 REPORT_DIGITS = 6    # report columns
 EXACT_DIGITS = 17    # fitted parameters and predictions (round-trippable)
+FIXED_M = 21_000.0   # m pinned by a bare --m-mode fixed (thousand vehicles)
 
 
 class CliError(ValueError):
@@ -174,11 +175,10 @@ def _fit_config(args, seed: int) -> FitConfig:
         kwargs["population_size"] = args.population
     if args.generations is not None:
         kwargs["max_generations"] = args.generations
-    if args.m_mode is not None:
-        kwargs["m_mode"] = args.m_mode
-    if args.m_value is not None:
-        kwargs["m_value"] = args.m_value
-        kwargs.setdefault("m_mode", "fixed")
+    if args.m_mode == "free" and args.m_value is not None:
+        raise CliError("--m-value pins m, so it cannot go with --m-mode free")
+    if args.m_mode == "fixed" or args.m_value is not None:
+        kwargs["m_value"] = FIXED_M if args.m_value is None else args.m_value
     if args.late_weight is not None:
         kwargs["late_weight"] = args.late_weight
     if getattr(args, "no_early_stop", False):
@@ -277,7 +277,7 @@ def cmd_fit(args) -> None:
                          population=cfg.population_size,
                          generations=cfg.max_generations,
                          late_weight=cfg.late_weight,
-                         m_mode=cfg.m_mode,
+                         m_mode="free" if cfg.m_value is None else "fixed",
                          numpy=np.__version__)
     write_csv(args.out, manifest, header, rows)
 

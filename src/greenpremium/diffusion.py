@@ -122,7 +122,8 @@ def simulate(params: BassParams,
         if not math.isfinite(decision_coefficient(premium, params.beta)):
             raise ValueError(f"decision coefficient 1 + premium * beta is not finite "
                              f"in {year} (beta = {params.beta!r})")
-    flow, _ = flows(params.p, params.q, params.m, params.beta, dp3, initial_cumulative)
+    with np.errstate(over="ignore"):    # an overflowing raw flow clamps to remaining or 0
+        flow, _ = flows(params.p, params.q, params.m, params.beta, dp3, initial_cumulative)
     row = flow[0].tolist()
     entering = accumulate(row, initial=min(initial_cumulative, params.m))
     return tuple(AdoptionState(year=year, cumulative=cumulative, new_adopters=flow)

@@ -11,7 +11,7 @@ generator drawn in a fixed order, so a seed fully determines the result.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Mapping, Sequence
@@ -88,8 +88,7 @@ class FitConfig:
     rng_seed: int = 0
     bounds: Mapping[str, tuple[float, float]] = field(
         default_factory=lambda: dict(DEFAULT_BOUNDS))
-    m_mode: str = "free"            # "free" or "fixed"
-    m_value: float = 21_000.0       # used when m_mode == "fixed"
+    m_value: float | None = None    # pins m when set
     late_weight: float = 4.0
     late_weight_from_year: int = 2018
     penalty_weight: float = 1e4
@@ -102,8 +101,8 @@ class FitConfig:
             raise FitError("probabilities must lie in [0, 1]")
         if self.population_size < 2:
             raise FitError("population_size must be >= 2")
-        if self.m_mode not in ("free", "fixed"):
-            raise FitError("m_mode must be 'free' or 'fixed'")
+        if self.rng_seed < 0:
+            raise FitError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name, (lo, hi) in self.bounds.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise FitError(f"bounds for {name!r} must be finite and ordered")
@@ -111,7 +110,7 @@ class FitConfig:
             raise FitError("bounds for 'm' must have a lower end > 0")
         for name in ("late_weight", "m_value"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if value is not None and not (math.isfinite(value) and value > 0):
                 raise FitError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("penalty_weight", "stagnation_tol"):
             value = getattr(self, name)
@@ -139,12 +138,12 @@ class FitResult:
 class _FitProblem:
     """What every evaluation of one fit shares, built once per fit.
 
-    Genes are p, q, then beta when a premium series is given, then m unless
-    it is fixed at `m_value`. Without premiums dp3 is all zeros, so x = 1.
+    Genes are p, q, beta and m, minus those pinned in `fixed`; without
+    premiums beta is pinned at 0 (the vanilla model) and dp3 is all zeros.
     """
 
     def __init__(self, obs: ObservationSeries, premiums: PremiumSeries | None,
-                 cfg: FitConfig, m_value: float | None) -> None:
+                 cfg: FitConfig, fixed: Mapping[str, float]) -> None:
         if len(obs) == 0:
             raise FitError("no observations")
         years = obs.years
@@ -155,20 +154,21 @@ class _FitProblem:
                 raise FitError(f"premium series missing years {missing}")
         self.dp3 = np.array([0.0 if premiums is None else premiums.lifecycle(y)
                              for y in sim_years])
-        self.genes = (("p", "q") + (("beta",) if premiums is not None else ())
-                      + (("m",) if m_value is None else ()))
-        self.m_value = m_value
+        self.fixed = {**({"beta": 0.0} if premiums is None else {}), **fixed}
+        self.genes = tuple(g for g in ("p", "q", "beta", "m") if g not in self.fixed)
         self.penalty_weight = cfg.penalty_weight
         self.columns = np.array([y - years[0] for y in years])
         self.weights = np.array([cfg.late_weight if y >= cfg.late_weight_from_year
                                  else 1.0 for y in years])[:, None]
         self.seen = np.array(obs.sales)[:, None]
 
+    def params(self, genome: Sequence[float]) -> BassParams:
+        return BassParams(**self.fixed, **{g: float(v) for g, v in zip(self.genes, genome)})
+
     def evaluate(self, genomes: np.ndarray) -> np.ndarray:
         """Weighted SSE + positivity penalty for each genome row."""
-        cols = dict(zip(self.genes, genomes.T))
-        flow, raw = flows(cols["p"], cols["q"], cols.get("m", self.m_value),
-                          cols.get("beta", 0.0), self.dp3)
+        cols = {**self.fixed, **dict(zip(self.genes, genomes.T))}
+        flow, raw = flows(cols["p"], cols["q"], cols["m"], cols["beta"], self.dp3)
         # Both terms are built as (years, rows) blocks in raw's memory, the
         # squared negative raw flows first, then the weighted squared residuals.
         raw = raw.T
@@ -199,10 +199,10 @@ def objective(params: BassParams, obs: ObservationSeries,
     w(year) = late_weight from late_weight_from_year onward, plus
     penalty_weight times the squared negative part of each pre-clamp flow.
     """
-    problem = _FitProblem(obs, premiums, cfg, m_value=params.m)
+    problem = _FitProblem(obs, premiums, cfg, {"m": params.m})
     if premiums is None and params.beta != 0.0:
         raise FitError("a premium series is required to fit beta")
-    genome = [params.p, params.q] + ([params.beta] if premiums is not None else [])
+    genome = [getattr(params, g) for g in problem.genes]
     return float(problem.evaluate(np.array([genome]))[0])
 
 
@@ -255,67 +255,44 @@ _AHEAD_MAX_WAIT_SHARE = 0.1
 class _DrawSource:
     """Hands out each generation's draws, in generation order.
 
-    With `ahead`, a helper thread fills generation g+1's set while g is in
-    use. Only one thread draws from the generator at a time, always the
-    next generation, so the stream is the one inline drawing makes. Two
-    sets alternate: `free` counts the sets the helper may fill and `filled`
-    the sets ready for use. A set is handed back when the next one is
-    taken, so the helper draws at most one generation past the last one
-    used. `close` (also run on leaving a `with` block) stops and joins it,
-    and the set it filled last, if any, is handed out next. `next` closes
-    it early once the fitting thread has waited too long for it
+    With `ahead`, a one-worker executor fills generation g+1's set while g
+    is in use. Only one thread draws from the generator at a time, always
+    the next generation, so the stream is the one inline drawing makes.
+    Two sets alternate: `next` waits for g's fill, which re-raises an error
+    of the helper, and only then submits g+1's fill into the other set, so
+    the helper draws at most one generation past the last one used. `close`
+    (also run on leaving a `with` block) shuts the executor down and drops
+    a fill no `next` asked for. `next` closes it early, with no fill pending,
+    once the fitting thread has waited too long for it
     (`_AHEAD_MAX_WAIT_SHARE`); later sets are drawn inline.
     """
 
     def __init__(self, make_set: Callable[[], _Draws], generations: int,
                  ahead: bool) -> None:
         self.sets = (make_set(), make_set()) if ahead else (make_set(),)
+        self.generations = generations
         self.taken = 0
-        self.pending = False
-        self.error: BaseException | None = None
-        self.thread: threading.Thread | None = None
+        self.executor: ThreadPoolExecutor | None = None
+        self.pending: Future | None = None
         if ahead:
-            self.free, self.filled = threading.Semaphore(2), threading.Semaphore(0)
-            self.stop = False
-            self.waited = 0.0
-            self.started = perf_counter()
-            self.thread = threading.Thread(target=self._run, args=(generations,),
-                                           name="ga-draws", daemon=True)
-            self.thread.start()
-
-    def _run(self, generations: int) -> None:
-        try:
-            for g in range(generations):
-                self.free.acquire()
-                if self.stop:
-                    return
-                self.sets[g % 2].fill()
-                self.filled.release()
-        except BaseException as exc:    # next() raises it in the fitting thread
-            self.error = exc
-            self.filled.release()
+            self.executor = ThreadPoolExecutor(1, thread_name_prefix="ga-draws")
+            self.waited, self.started = 0.0, perf_counter()
+            self.pending = self.executor.submit(self.sets[0].fill)
 
     def next(self) -> _Draws:
-        if self.error is not None:
-            raise self.error
         draws = self.sets[self.taken % len(self.sets)]
         self.taken += 1
-        if self.thread is None:
-            if self.pending:
-                self.pending = False
-                return draws
+        if self.pending is None:
             return draws.fill()
-        if self.taken > 1:
-            self.free.release()
-        if not self.filled.acquire(blocking=False):
-            start = perf_counter()
-            self.filled.acquire()
-            self.waited += perf_counter() - start
-        if self.error is not None:
-            raise self.error
+        start = perf_counter()
+        self.pending.result()
+        self.waited += perf_counter() - start
+        self.pending = None
         if (self.taken >= _AHEAD_JUDGED_AFTER
                 and self.waited > _AHEAD_MAX_WAIT_SHARE * (perf_counter() - self.started)):
             self.close()
+        elif self.executor is not None and self.taken < self.generations:
+            self.pending = self.executor.submit(self.sets[self.taken % 2].fill)
         return draws
 
     def __enter__(self) -> _DrawSource:
@@ -325,13 +302,9 @@ class _DrawSource:
         self.close()
 
     def close(self) -> None:
-        if self.thread is None:
-            return
-        self.stop = True
-        self.free.release()
-        self.thread.join()
-        self.thread = None
-        self.pending = self.filled.acquire(blocking=False)
+        if self.executor is not None:
+            self.executor.shutdown(cancel_futures=True)
+            self.executor = None
 
 
 def _breed(pop: np.ndarray, fitness: np.ndarray, draws: _Draws, children: np.ndarray,
@@ -372,7 +345,7 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
         raise FitError("degenerate fit: all observations are zero")
 
     problem = _FitProblem(obs, premiums, cfg,
-                          m_value=cfg.m_value if cfg.m_mode == "fixed" else None)
+                          {} if cfg.m_value is None else {"m": cfg.m_value})
     gene_names = problem.genes
     for g in gene_names:
         if g not in cfg.bounds:
@@ -430,15 +403,10 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     if not math.isfinite(best_obj):
         raise FitError("degenerate fit: no genome has a finite objective; sales this "
                        "large overflow the squared error (sales are in thousand vehicles)")
-    winner = pop[int(np.argmin(fitness))]
-    values = dict(zip(gene_names, (float(v) for v in winner)))
+    params = problem.params(pop[int(np.argmin(fitness))])
     # Clamping puts a gene exactly on its bound, so == finds it.
-    at_bounds = tuple((g, "lower" if values[g] == cfg.bounds[g][0] else "upper")
-                      for g in gene_names if values[g] in cfg.bounds[g])
-    params = BassParams(
-        p=values["p"], q=values["q"],
-        m=values.get("m", cfg.m_value),
-        beta=values.get("beta", 0.0))
+    at_bounds = tuple((g, "lower" if getattr(params, g) == cfg.bounds[g][0] else "upper")
+                      for g in gene_names if getattr(params, g) in cfg.bounds[g])
     predicted = predictions(params, obs, premiums)
     return FitResult(
         params=params,

@@ -160,7 +160,7 @@ def test_criterion_5_ga_synthetic_recovery(long_range):
 
     worst = {"p": 0.0, "q": 0.0, "beta": 0.0, "r2": 1.0}
     for seed in range(5):
-        cfg = FitConfig(rng_seed=seed, m_mode="fixed", m_value=truth.m)
+        cfg = FitConfig(rng_seed=seed, m_value=truth.m)
         result = ga_fit(obs, series, cfg)
         assert result.params.p == pytest.approx(truth.p, rel=0.20)
         assert result.params.q == pytest.approx(truth.q, rel=0.20)
@@ -171,7 +171,7 @@ def test_criterion_5_ga_synthetic_recovery(long_range):
         worst["beta"] = max(worst["beta"], abs(result.params.beta / truth.beta - 1))
         worst["r2"] = min(worst["r2"], result.r_squared)
 
-    full = FitConfig(rng_seed=0, m_mode="fixed", m_value=truth.m, early_stop=False)
+    full = FitConfig(rng_seed=0, m_value=truth.m, early_stop=False)
     start = time.perf_counter()
     ga_fit(obs, series, full)
     full_run = time.perf_counter() - start

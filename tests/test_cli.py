@@ -259,7 +259,9 @@ def test_exit_codes(tmp_path):
     (["--late-weight", "-1"], "late_weight"),
     (["--m-mode", "fixed", "--m-value", "0"], "m_value"),
     (["--generations", "-1"], "max_generations"),
-], ids=["late-weight-nan", "late-weight-negative", "m-value-zero", "generations-negative"])
+    (["--seed", "-1"], "rng_seed"),
+], ids=["late-weight-nan", "late-weight-negative", "m-value-zero", "generations-negative",
+        "seed-negative"])
 def test_fit_rejects_invalid_settings_before_fitting(tmp_path, capsys, options, field):
     out = tmp_path / "fit.csv"
     code = run(["fit", "--data", str(config.sample_sales_path()), "--seed", "0",
@@ -267,6 +269,32 @@ def test_fit_rejects_invalid_settings_before_fitting(tmp_path, capsys, options, 
     assert code == 1
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_m_value_with_free_m_mode_is_rejected(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    code = run([command, "--data", str(config.sample_sales_path()), "--seed", "0",
+                "--m-mode", "free", "--m-value", "30000", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--m-mode free" in err and "--m-value" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options, m, mode", [
+    ([], None, "free"),
+    (["--m-mode", "fixed"], "21000", "fixed"),
+    (["--m-value", "30000"], "30000", "fixed"),
+    (["--m-mode", "fixed", "--m-value", "30000"], "30000", "fixed"),
+], ids=["default", "bare-fixed", "value", "fixed-value"])
+def test_fit_m_flags_pin_m_and_name_the_mode(tmp_path, options, m, mode):
+    out = run_to_file(tmp_path, "fit.csv",
+                      ["fit", "--data", str(config.sample_sales_path()), "--seed", "0",
+                       "--population", "40", "--generations", "5", *options])
+    assert f"# m_mode: {mode}" in out.read_text().splitlines()
+    if m is not None:
+        assert parse_csv(out)[0]["m"] == m
 
 
 def test_compare_command(tmp_path):

@@ -82,7 +82,7 @@ def independent_objective(params, obs, series, cfg):
 def test_objective_zero_for_perfect_predictions(smooth_window):
     truth = BassParams(p=0.002, q=0.4, m=21000, beta=-2.0)
     obs = synthetic_obs(truth, smooth_window, 2015, 12)
-    cfg = FitConfig(m_mode="fixed", m_value=21000)
+    cfg = FitConfig(m_value=21000)
     assert objective(truth, obs, smooth_window, cfg) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -90,7 +90,7 @@ def test_objective_matches_independent_recomputation(smooth_window):
     params = BassParams(p=0.004, q=0.31, m=30000, beta=-1.3)
     truth = BassParams(p=0.002, q=0.4, m=21000, beta=-2.0)
     obs = synthetic_obs(truth, smooth_window, 2015, 12)
-    cfg = FitConfig(m_mode="fixed", m_value=30000)
+    cfg = FitConfig(m_value=30000)
     expected = independent_objective(params, obs, smooth_window, cfg)
     assert objective(params, obs, smooth_window, cfg) == pytest.approx(expected, rel=1e-12)
 
@@ -99,9 +99,9 @@ def test_objective_late_weight_scales_only_late_residuals(smooth_window):
     params = BassParams(p=0.004, q=0.31, m=21000, beta=-1.0)
     truth = BassParams(p=0.002, q=0.4, m=21000, beta=-2.0)
     obs = synthetic_obs(truth, smooth_window, 2015, 12)
-    base_cfg = FitConfig(m_mode="fixed", m_value=21000, late_weight=4.0,
+    base_cfg = FitConfig(m_value=21000, late_weight=4.0,
                          penalty_weight=0.0)
-    double_cfg = FitConfig(m_mode="fixed", m_value=21000, late_weight=8.0,
+    double_cfg = FitConfig(m_value=21000, late_weight=8.0,
                            penalty_weight=0.0)
     pre_2018 = ObservationSeries(tuple(pt for pt in obs.points if pt[0] < 2018))
     early_part = objective(params, pre_2018, smooth_window, base_cfg)
@@ -118,7 +118,7 @@ def test_objective_invariant_under_observation_order(smooth_window):
     truth = BassParams(p=0.002, q=0.4, m=21000, beta=-2.0)
     obs = synthetic_obs(truth, smooth_window, 2015, 12)
     shuffled = ObservationSeries(tuple(reversed(obs.points)))
-    cfg = FitConfig(m_mode="fixed", m_value=21000)
+    cfg = FitConfig(m_value=21000)
     assert objective(params, obs, smooth_window, cfg) == objective(
         params, shuffled, smooth_window, cfg)
 
@@ -136,8 +136,8 @@ def test_objective_penalises_negative_raw_flows():
     years = range(2015, 2021)
     series = flat_series(years, 2.0)  # x = -3
     obs = ObservationSeries(tuple((y, 10.0) for y in years))
-    with_pen = FitConfig(m_mode="fixed", m_value=1000, penalty_weight=1e4)
-    no_pen = FitConfig(m_mode="fixed", m_value=1000, penalty_weight=0.0)
+    with_pen = FitConfig(m_value=1000, penalty_weight=1e4)
+    no_pen = FitConfig(m_value=1000, penalty_weight=0.0)
     assert objective(params, obs, series, with_pen) > objective(
         params, obs, series, no_pen)
 
@@ -165,7 +165,7 @@ def test_ga_fit_is_deterministic(smooth_window):
     truth = BassParams(p=0.002, q=0.4, m=21000, beta=-2.0)
     obs = synthetic_obs(truth, smooth_window, 2015, 12)
     cfg = FitConfig(rng_seed=11, population_size=60, max_generations=40,
-                    m_mode="fixed", m_value=21000)
+                    m_value=21000)
     assert ga_fit(obs, smooth_window, cfg) == ga_fit(obs, smooth_window, cfg)
 
 
@@ -173,7 +173,7 @@ def test_ga_fit_best_objective_never_worsens(smooth_window):
     truth = BassParams(p=0.002, q=0.4, m=21000, beta=-2.0)
     obs = synthetic_obs(truth, smooth_window, 2015, 12)
     cfg = FitConfig(rng_seed=3, population_size=80, max_generations=60,
-                    m_mode="fixed", m_value=21000)
+                    m_value=21000)
     result = ga_fit(obs, smooth_window, cfg)
     assert all(later <= earlier + 1e-15 for earlier, later
                in zip(result.history, result.history[1:]))
@@ -218,6 +218,7 @@ def test_ga_fit_preconditions(smooth_window):
     ({"stagnation_patience": 0}, "stagnation_patience"),
     ({"stagnation_tol": -1e-10}, "stagnation_tol"),
     ({"stagnation_tol": math.nan}, "stagnation_tol"),
+    ({"rng_seed": -1}, "rng_seed"),
 ])
 def test_fit_config_rejects_invalid_settings(setting, field):
     with pytest.raises(FitError, match=field):
@@ -236,7 +237,7 @@ def test_ga_fit_recovers_synthetic_truth(smooth_window):
     obs = synthetic_obs(truth, smooth_window, 2015, 12)
     for seed in (0, 3):
         cfg = FitConfig(rng_seed=seed, population_size=300, max_generations=300,
-                        m_mode="fixed", m_value=21000)
+                        m_value=21000)
         result = ga_fit(obs, smooth_window, cfg)
         assert result.params.p == pytest.approx(truth.p, rel=0.20)
         assert result.params.q == pytest.approx(truth.q, rel=0.20)
@@ -250,7 +251,7 @@ def test_ga_fit_beta_zero_data_yields_negligible_premium_effect(smooth_window):
     truth = BassParams(p=0.002, q=0.40, m=21000, beta=0.0)
     obs = synthetic_obs(truth, None, 2015, 12)
     cfg = FitConfig(rng_seed=1, population_size=300, max_generations=300,
-                    m_mode="fixed", m_value=21000)
+                    m_value=21000)
     vanilla, generalized = compare_models(obs, smooth_window, cfg)
     pred_v = predictions(vanilla.params, obs, None)
     pred_g = predictions(generalized.params, obs, smooth_window)
@@ -271,6 +272,18 @@ def test_ga_fit_objective_equals_objective_of_its_params(
     cfg = FitConfig(rng_seed=seed)
     result = ga_fit(china_sales, premiums, cfg)
     assert result.objective == objective(result.params, china_sales, premiums, cfg)
+
+
+@pytest.mark.parametrize("params", [BassParams(p=0.002, q=0.4, m=21000),
+                                    BassParams(p=0.0001, q=0.63, m=150_000),
+                                    BassParams(p=0.0153, q=0.05, m=60_000)])
+def test_objective_at_beta_zero_equals_the_vanilla_objective(long_range, china_sales, params):
+    """The generalized model nests the vanilla one: at beta = 0 the cost-gap
+    term drops out, so the two losses agree to the last bit."""
+    premiums = tj.premium_series(long_range, range(2010, 2022))
+    cfg = FitConfig()
+    assert (objective(params, china_sales, premiums, cfg)
+            == objective(params, china_sales, None, cfg))
 
 
 def reference_flows(p, q, m, beta, dp3):
@@ -297,7 +310,7 @@ def reference_ga_fit(obs, premiums, cfg):
     years = obs.years
     sim_years = range(years[0], years[-1] + 1)
     dp3 = [0.0 if premiums is None else premiums.lifecycle(y) for y in sim_years]
-    m_value = cfg.m_value if cfg.m_mode == "fixed" else None
+    m_value = cfg.m_value
     genes = (("p", "q") + (("beta",) if premiums is not None else ())
              + (("m",) if m_value is None else ()))
     terms = [(y - years[0], cfg.late_weight if y >= cfg.late_weight_from_year
@@ -367,7 +380,7 @@ def reference_ga_fit(obs, premiums, cfg):
 def assert_ga_fit_matches_reference(long_range, china_sales, model, population, seed):
     premiums = (None if model == "vanilla"
                 else tj.premium_series(long_range, range(2010, 2022)))
-    extra = {"m_mode": "fixed", "m_value": 30000.0} if model == "fixed-m" else {}
+    extra = {"m_value": 30000.0} if model == "fixed-m" else {}
     cfg = FitConfig(rng_seed=seed, population_size=population, max_generations=60,
                     stagnation_patience=20, **extra)
     threads = threading.active_count()
@@ -482,15 +495,14 @@ def test_ga_fit_raises_an_error_of_the_helper_thread(china_sales, monkeypatch):
 
 
 def test_draw_source_raises_a_helper_error_after_stopping_it():
-    """A set the helper failed to fill is never handed out, not even as the
-    one left over when the helper is stopped."""
+    """A set the helper failed to fill is never handed out, not even when
+    the helper is stopped before the set is asked for."""
     class Failing:
         def fill(self):
             raise MemoryError("no room for draws")
 
     source = fitting._DrawSource(Failing, generations=5, ahead=True)
-    source.thread.join(timeout=10)
-    assert not source.thread.is_alive()
+    assert isinstance(source.pending.exception(timeout=10), MemoryError)
     source.close()
     with pytest.raises(MemoryError, match="no room"):
         source.next()
@@ -528,7 +540,7 @@ def test_compare_models_premium_coupled_data(smooth_window):
     truth = BassParams(p=0.002, q=0.40, m=21000, beta=-2.0)
     obs = synthetic_obs(truth, smooth_window, 2015, 12)
     cfg = FitConfig(rng_seed=2, population_size=300, max_generations=300,
-                    m_mode="fixed", m_value=21000)
+                    m_value=21000)
     vanilla, generalized = compare_models(obs, smooth_window, cfg)
     assert generalized.r_squared > vanilla.r_squared
     assert vanilla.params.beta == 0.0
