@@ -354,10 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", default="long-range",
-                           help="built-in scenario name or YAML path")
+    def add_common(p):
+        p.add_argument("--scenario", default="long-range",
+                       help="built-in scenario name or YAML path")
         p.add_argument("--out", default="-", help="output CSV file (default stdout)")
 
     p = sub.add_parser("tco", help="cost snapshot for one model year")

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import yaml
 
-from .trajectory import (DEFAULT_STEP_FIELDS, ScenarioSchedule, ScheduleEntry,
-                         ScheduleError)
+from .trajectory import (ALL_FIELDS, DEFAULT_STEP_FIELDS, ScenarioSchedule,
+                         ScheduleEntry, ScheduleError, integral)
 
 CONFIG_DIR_ENV = "GREENPREMIUM_CONFIG_DIR"
 BUILTIN_SCENARIOS = ("long-range", "short-range")
@@ -71,17 +71,23 @@ def load_schedule(ref: str) -> ScenarioSchedule:
         interpolation = doc.get("interpolation", {})
         if not isinstance(interpolation, dict):
             raise ScheduleError(f"interpolation must be a mapping, got {interpolation!r}")
+        step = interpolation.get("step", [])
+        if not isinstance(step, list):
+            raise ScheduleError(
+                f"interpolation.step must be a list of schedule keys, got {step!r}")
+        for key in step:
+            if key not in ALL_FIELDS:
+                raise ScheduleError(f"interpolation.step: unknown schedule key {key!r}")
         entries = tuple(
-            ScheduleEntry(year=int(e["year"]),
+            ScheduleEntry(year=integral(e["year"], "entry year"),
                           overrides={k: v for k, v in e.items() if k != "year"})
             for e in doc["entries"])
-        step = frozenset(interpolation.get("step", [])) or DEFAULT_STEP_FIELDS
         return ScenarioSchedule(
             name=str(doc["name"]),
             vehicle_class=str(doc.get("vehicle_class", doc["name"])),
-            span=(int(span[0]), int(span[1])),
+            span=(integral(span[0], "span"), integral(span[1], "span")),
             entries=entries,
-            step_fields=step,
+            step_fields=frozenset(step) or DEFAULT_STEP_FIELDS,
             source=str(path),
         )
     except KeyError as exc:

@@ -194,14 +194,15 @@ def build_scenario(year: int, ev: EvPowertrain, icev: IcevPowertrain,
                            consumer_battery_replacements)
 
 
-_FIELD_NAMES = {cls: tuple(f.name for f in dataclasses.fields(cls))
-                for cls in (VehicleScenario, EvPowertrain, IcevPowertrain, SubsidyPolicy,
-                            UsageProfile, ResidualAndFinance, MarketPrices)}
+# Each value object's field names, in order; the schedule keys index this table.
+FIELD_NAMES = {cls: tuple(f.name for f in dataclasses.fields(cls))
+               for cls in (VehicleScenario, EvPowertrain, IcevPowertrain, SubsidyPolicy,
+                           UsageProfile, ResidualAndFinance, MarketPrices)}
 
 
 def _values_with(obj, name: str, value) -> list:
     """The field values of `obj`, in order, with field `name` set to `value`."""
-    names = _FIELD_NAMES.get(type(obj), ())
+    names = FIELD_NAMES.get(type(obj), ())
     if name not in names:
         raise TypeError(f"{type(obj).__name__} has no field {name!r}")
     return [value if n == name else getattr(obj, n) for n in names]
@@ -209,7 +210,7 @@ def _values_with(obj, name: str, value) -> list:
 
 def derive_prices(sc: VehicleScenario) -> VehicleScenario:
     """Recompute margin-linked market prices from current production costs."""
-    return build_scenario(*(getattr(sc, n) for n in _FIELD_NAMES[VehicleScenario]))
+    return build_scenario(*(getattr(sc, n) for n in FIELD_NAMES[VehicleScenario]))
 
 
 def replace_field(sc: VehicleScenario, path: str, value) -> VehicleScenario:

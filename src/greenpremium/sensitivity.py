@@ -55,19 +55,15 @@ def _premium(sc: cm.VehicleScenario, target: PremiumTarget) -> float:
     return cm.lifecycle_premium(sc)
 
 
-def _apply_rebase(sc: cm.VehicleScenario, factor: FactorSpec) -> cm.VehicleScenario:
-    for path, value in factor.rebase.items():
-        sc = cm.replace_field(sc, path, value)
-    return sc
-
-
 def reference_point(base: cm.VehicleScenario, factor: FactorSpec,
                     target: PremiumTarget = "lifecycle") -> tuple[cm.VehicleScenario, float]:
     """The factor's re-based scenario and its premium, which `perturb` normalises by.
 
     Raises DegenerateBaseError when that premium is too close to zero.
     """
-    sc = _apply_rebase(base, factor)
+    sc = base
+    for path, value in factor.rebase.items():
+        sc = cm.replace_field(sc, path, value)
     reference = _premium(sc, target)
     if abs(reference) < DEGENERATE_BASE:
         raise DegenerateBaseError(

@@ -9,7 +9,6 @@ parity analysis consume.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
@@ -21,14 +20,14 @@ PremiumKind = Literal["production", "acquisition", "lifecycle"]
 
 # Schedule keys, grouped by the scenario member they populate.
 EV_FIELDS, ICEV_FIELDS, POLICY_FIELDS, USAGE_FIELDS, FINANCE_FIELDS = (
-    tuple(f.name for f in dataclasses.fields(cls))
-    for cls in (cm.EvPowertrain, cm.IcevPowertrain, cm.SubsidyPolicy,
-                cm.UsageProfile, cm.ResidualAndFinance))
-PRICE_FIELDS = ("common_base_cost", "ev_price", "icev_price",
-                "ev_price_margin", "icev_price_margin")
+    cm.FIELD_NAMES[cls] for cls in (cm.EvPowertrain, cm.IcevPowertrain, cm.SubsidyPolicy,
+                                    cm.UsageProfile, cm.ResidualAndFinance))
+# Each vehicle's (price, margin) keys: its market price is given, or derived
+# from a margin over production cost. The first entry decides which, for good.
+PRICE_KEYS = (("ev_price", "ev_price_margin"), ("icev_price", "icev_price_margin"))
 OPTIONAL_FIELDS = ("consumer_battery_replacements",)
-ALL_FIELDS = (EV_FIELDS + ICEV_FIELDS + POLICY_FIELDS + USAGE_FIELDS
-              + FINANCE_FIELDS + PRICE_FIELDS + OPTIONAL_FIELDS)
+ALL_FIELDS = (EV_FIELDS + ICEV_FIELDS + POLICY_FIELDS + USAGE_FIELDS + FINANCE_FIELDS
+              + ("common_base_cost",) + PRICE_KEYS[0] + PRICE_KEYS[1] + OPTIONAL_FIELDS)
 
 # Fields that are flags/policies rather than smoothly drifting quantities.
 DEFAULT_STEP_FIELDS = frozenset({
@@ -45,6 +44,10 @@ ANCHOR_LIMITS = {
     "consumer_battery_replacements": (0, 100),
     "discount_rate": (-0.5, 1.0),
 }
+# Anchors that must be whole numbers (10.0 will do) and anchors that must be
+# true or false. Values resolved between anchors are not checked.
+INTEGER_FIELDS = ("lifecycle_years", "consumer_battery_replacements")
+FLAG_FIELDS = ("ev_tax_exempt",)
 
 
 class ScheduleError(ValueError):
@@ -53,6 +56,16 @@ class ScheduleError(ValueError):
 
 class SpanError(ScheduleError):
     """Requested year lies outside the schedule span."""
+
+
+def integral(value, where: str) -> int:
+    """`value` as an int when it is whole, as 10 and 10.0 are. NaN, an infinity
+    or a word fails in `int`; a bool, a fraction or a quoted number raises a
+    ScheduleError at `where`."""
+    number = int(value)
+    if isinstance(value, bool) or number != value:
+        raise ScheduleError(f"{where}: expected an integer, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -82,6 +95,9 @@ class ScenarioSchedule:
         if years[0] > self.span[0]:
             raise ScheduleError("first entry must not postdate the span start")
         known = set(ALL_FIELDS)
+        first = self.entries[0].overrides
+        # Each pair's unused key, mapped to the key the schedule uses instead.
+        unused = dict(pair if pair[1] in first else pair[::-1] for pair in PRICE_KEYS)
         # Each field's (year, value) anchors, indexed once; values_at reads them.
         tracks: dict[str, list[tuple[int, object]]] = {}
         for e in self.entries:
@@ -89,27 +105,26 @@ class ScenarioSchedule:
             if unknown:
                 raise ScheduleError(f"unknown schedule fields: {sorted(unknown)}")
             for name, value in e.overrides.items():
+                if name in unused:
+                    raise ScheduleError(f"entry {e.year}: {name}: this schedule uses "
+                                        f"{unused[name]}, as its first entry decides")
                 # bools are ints; the bound rejects NaN, inf and ints no float holds
                 if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
                     raise ScheduleError(
                         f"entry {e.year}: {name}: expected a finite number, got {value!r}")
+                if name in FLAG_FIELDS and not isinstance(value, bool):
+                    raise ScheduleError(
+                        f"entry {e.year}: {name}: expected true or false, got {value!r}")
+                if name in INTEGER_FIELDS:
+                    integral(value, f"entry {e.year}: {name}")
                 lo, hi = ANCHOR_LIMITS.get(name, (-math.inf, math.inf))
                 if not lo <= value <= hi:
                     raise ScheduleError(
                         f"entry {e.year}: {name}: {value!r} outside [{lo}, {hi}]")
                 tracks.setdefault(name, []).append((e.year, value))
         object.__setattr__(self, "_tracks", tracks)
-        first = self.entries[0].overrides
-        derived_ev = "ev_price_margin" in first
-        derived_icev = "icev_price_margin" in first
         for f_ in ALL_FIELDS:
-            if f_ == "ev_price" and derived_ev:
-                continue
-            if f_ == "icev_price" and derived_icev:
-                continue
-            if f_ in ("ev_price_margin", "icev_price_margin") or f_ in OPTIONAL_FIELDS:
-                continue
-            if f_ not in first:
+            if f_ not in first and f_ not in unused and f_ not in OPTIONAL_FIELDS:
                 raise ScheduleError(f"first entry must define every field; missing {f_!r}")
 
     def values_at(self, year: int) -> dict[str, object]:
@@ -120,8 +135,9 @@ class ScenarioSchedule:
         linearly. Past the last anchor the last value holds.
         """
         if not (self.span[0] <= year <= self.span[1]):
-            raise SpanError(
-                f"year {year} outside schedule span {self.span[0]}..{self.span[1]}")
+            where = "" if self.source is None else f"{self.source}: "
+            raise SpanError(f"{where}year {year} outside schedule span "
+                            f"{self.span[0]}..{self.span[1]}")
         out = {}
         for name, track in self._tracks.items():
             prev_year, prev_val = track[0]
@@ -156,30 +172,27 @@ class ScenarioSchedule:
 def resolve_scenario(sched: ScenarioSchedule, year: int) -> cm.VehicleScenario:
     """Materialize the schedule into one immutable model-year snapshot.
 
-    Every field read here is set by the first entry, so `values_at` has it.
-    A value-object check that fails here is raised as a `ScheduleError`
-    naming the schedule's source file, when known, and the year.
+    `values_at` has every key the first entry sets; a price key the schedule
+    does not use is absent, as is `consumer_battery_replacements` (taken as
+    0) before its first anchor. A value-object check that fails here is
+    raised as a `ScheduleError` naming the schedule's source file, when
+    known, and the year.
     """
     v = sched.values_at(year)
-    first = sched.entries[0].overrides
-    usage_values = [v[f] for f in USAGE_FIELDS]
-    usage_values[0] = int(usage_values[0])
-    ev_margin = v["ev_price_margin"] if "ev_price_margin" in first else None
-    icev_margin = v["icev_price_margin"] if "icev_price_margin" in first else None
+    usage = {f: v[f] for f in USAGE_FIELDS}
+    usage["lifecycle_years"] = int(usage["lifecycle_years"])
     try:
         return cm.build_scenario(
             year,
             cm.EvPowertrain(*[v[f] for f in EV_FIELDS]),
             cm.IcevPowertrain(*[v[f] for f in ICEV_FIELDS]),
             cm.SubsidyPolicy(*[v[f] for f in POLICY_FIELDS]),
-            cm.UsageProfile(*usage_values),
+            cm.UsageProfile(**usage),
             cm.ResidualAndFinance(*[v[f] for f in FINANCE_FIELDS]),
-            cm.MarketPrices(0.0 if ev_margin is not None else v["ev_price"],
-                            0.0 if icev_margin is not None else v["icev_price"],
+            cm.MarketPrices(v.get("ev_price", 0.0), v.get("icev_price", 0.0),
                             v["common_base_cost"]),
-            ev_margin, icev_margin,
-            int(v["consumer_battery_replacements"])
-            if "consumer_battery_replacements" in first else 0)
+            v.get("ev_price_margin"), v.get("icev_price_margin"),
+            int(v.get("consumer_battery_replacements", 0)))
     except ValueError as exc:
         where = "" if sched.source is None else f"{sched.source}: "
         raise ScheduleError(f"{where}year {year}: {exc}") from exc
@@ -221,7 +234,7 @@ class PremiumSeries:
             p = self.points[year - self.points[0].year]
         except IndexError:
             raise KeyError(f"year {year} not in premium series") from None
-        if not self.points or p.year != year:
+        if p.year != year:
             raise KeyError(f"year {year} not in premium series")
         return p
 

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from greenpremium import config
+from greenpremium import trajectory as tj
 from greenpremium.cli import (CliError, load_params_csv, load_sales_csv, run)
 from greenpremium.fitting import r_squared
 
@@ -105,6 +108,56 @@ def test_value_check_failing_while_a_year_resolves_names_file_and_year(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["tco", "fit"])
+def test_year_outside_the_span_names_the_scenario_file(tmp_path, capsys, command):
+    sales = tmp_path / "sales.csv"
+    sales.write_text("year,annual_sales\n2005,1\n2010,2\n")
+    argv = (["tco", "--year", "2040"] if command == "tco"
+            else ["fit", "--data", str(sales), "--seed", "0"])
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    year = 2040 if command == "tco" else 2005
+    path = config.scenario_path("long-range")
+    assert (f"error: {path}: year {year} outside schedule span 2010..2030\n"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    with pytest.raises(tj.SpanError, match=f"^{re.escape(str(path))}: year {year} "):
+        tj.resolve_scenario(config.load_schedule("long-range"), year)
+
+
+def _tco(tmp_path, scenario, year):
+    out = run_to_file(tmp_path, "tco.csv", ["tco", "--scenario", scenario, "--year", year])
+    return {r["quantity"]: r["value"] for r in parse_csv(out)}
+
+
+def test_consumer_battery_replacements_first_anchored_late_are_counted(tmp_path):
+    text = config.scenario_path("long-range").read_text()
+    assert text.rsplit("  - year: ", 1)[1].startswith("2030\n")   # the last entry
+    late = tmp_path / "late.yaml"
+    late.write_text(text + "    consumer_battery_replacements: 3\n")
+    assert _tco(tmp_path, str(late), "2029") == _tco(tmp_path, "long-range", "2029")
+    shipped, changed = _tco(tmp_path, "long-range", "2030"), _tco(tmp_path, str(late), "2030")
+    assert shipped["lifecycle_premium"] == "-0.303781"
+    assert changed["lifecycle_premium"] == "0.0157325"
+    assert changed["acquisition_premium"] == shipped["acquisition_premium"]
+
+
+@pytest.mark.parametrize("old, new, year, key", [
+    ("    cafc_threshold: 3.9\n", "    cafc_threshold: 3.9\n    ev_price: 1.0\n",
+     2030, "ev_price"),
+    ("    icev_price_margin: 0.358\n", "    icev_price_margin: 0.358\n    icev_price: 1.0e+5\n",
+     2010, "icev_price"),
+    ("    ev_price_margin: 0.4115\n", "    ev_price: 2.5e+5\n", 2021, "ev_price_margin"),
+], ids=["later-price", "first-entry-both", "later-margin"])
+def test_price_key_the_schedule_does_not_use_exits_1(tmp_path, capsys, old, new, year, key):
+    text = config.scenario_path("long-range").read_text()
+    assert old in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(old, new, 1))
+    assert run(["tco", "--scenario", str(bad), "--year", "2030"]) == 1
+    assert f"error: {bad}: entry {year}: {key}: this schedule uses " in capsys.readouterr().err
+
+
 # --- commands ----------------------------------------------------------------
 
 def test_premium_series_shape(tmp_path):
@@ -138,6 +191,49 @@ def test_sensitivity_command(tmp_path):
     out = run_to_file(tmp_path, "sens.csv", ["sensitivity", "--year", "2021"])
     rows = parse_csv(out)
     assert {r["factor"] for r in rows} >= {"battery_800", "tax_rate", "oil_price"}
+
+
+# SHA-256 of each scenario command's output after its `# greenpremium <version>`
+# line. These commands write 6-digit report columns and use no numpy, so the
+# digests hold across hosts; a refactor of the scenario path must keep them.
+_PINNED_OUTPUTS = {
+    ("long-range", "tco", "--year", "2021"):
+        "054eade3c0b81d9a680ddeed6eff9912e2f60ce4d0bc1a3b6c6753328c2a01d3",
+    ("long-range", "tco", "--year", "2015"):
+        "731a62060b6e1402af577ee959d8c65142ed643e8648c51da831afc9ecdd4d93",
+    ("long-range", "premium-series"):
+        "a1361b46375a7e17ad72f6e10418da8be025b4919439b091838f1648c7733d60",
+    ("long-range", "parity"):
+        "8878e0ca428813417b3c98c14498bbeecbe8602ee60d96ba28d99bc096250ad3",
+    ("long-range", "sensitivity", "--year", "2021"):
+        "ef3d32c8eef534f33d49cf37d39aa2c9ca02dd06465ad36bf4de0f6a7b18f00e",
+    ("long-range", "sensitivity", "--year", "2015", "--target", "acquisition"):
+        "5994e36d02bf9e375aacb4d607f0d6c5b82dfcd12d1f15307bfcca9ea3f7bbec",
+    ("long-range", "sensitivity", "--year", "2015", "--target", "production"):
+        "b31703f57eed8f9107e322903947c86b4f94db053c8f6a7ac038f6dcc5116914",
+    ("short-range", "tco", "--year", "2021"):
+        "ecd7a8f365347902faf21751e78ff62907918f6099c5a80fa843d5360791b2a0",
+    ("short-range", "tco", "--year", "2015"):
+        "ccc3a4222cd3273d78a3e52cf52510ab95523a286d3690f1a40dc4c26c5c4555",
+    ("short-range", "premium-series"):
+        "04a495320a9dd12bc0893bdc98e6617663f27dd39f04a97ced81468b067f267e",
+    ("short-range", "parity"):
+        "01b75538771928a1c09d5020d2968a98a6f880abbea6564d35584f8c1364e2bf",
+    ("short-range", "sensitivity", "--year", "2021"):
+        "567795e8ecef22d32703d6c91c66303b8451aa96c5ec14ec672bb31793c7c6c3",
+    ("short-range", "sensitivity", "--year", "2015", "--target", "acquisition"):
+        "63ee48647a8e3038e2643179ebd2b435994ffe77d9ec9a3f8be1cda90d4d4b8b",
+    ("short-range", "sensitivity", "--year", "2015", "--target", "production"):
+        "7f16c1c5bb3fd9a2c06d952924dc2bda0cc623e91c3943db49efae810655b07e",
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_OUTPUTS), ids=" ".join)
+def test_scenario_command_output_matches_its_pinned_digest(tmp_path, case):
+    scenario, *command = case
+    out = run_to_file(tmp_path, "out.csv", [*command, "--scenario", scenario])
+    body = out.read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == _PINNED_OUTPUTS[case]
 
 
 def test_fit_forecast_round_trip(tmp_path, china_sales):

@@ -119,8 +119,28 @@ def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory)
     ("interpolation:\n", "interpolation: null\nunused:\n", "interpolation must be a mapping"),
     ("discount_rate: 0.05", "discount_rate: 1.0e+300", "discount_rate: 1e\\+300 outside"),
     ("lifecycle_years: 10", "lifecycle_years: 1000000000000000", "lifecycle_years: .* outside"),
+    ("    - credit_price\n", "    - credit_prise\n",
+     "interpolation.step: unknown schedule key 'credit_prise'"),
+    ("  step:\n    - ev_tax_exempt\n    - acquisition_subsidy\n    - credit_price\n"
+     "    - purchase_tax_rate\n    - lifecycle_years\n", "  step: acquisition_subsidy\n",
+     "interpolation.step must be a list of schedule keys, got 'acquisition_subsidy'"),
+    ("lifecycle_years: 10", "lifecycle_years: 10.9",
+     "entry 2010: lifecycle_years: expected an integer, got 10.9"),
+    ("lifecycle_years: 10", "lifecycle_years: true",
+     "entry 2010: lifecycle_years: expected an integer, got True"),
+    ("  - year: 2013", "  - year: 2012.7", "entry year: expected an integer, got 2012.7"),
+    ("span: [2010, 2030]", "span: [2010.5, 2030]", "span: expected an integer, got 2010.5"),
+    ("span: [2010, 2030]", "span: [2010, '2030']", "span: expected an integer, got '2030'"),
+    ("lifecycle_years: 10\n", "lifecycle_years: 10\n    consumer_battery_replacements: 1.5\n",
+     "entry 2010: consumer_battery_replacements: expected an integer, got 1.5"),
+    ("ev_tax_exempt: true", "ev_tax_exempt: 0.5",
+     "entry 2010: ev_tax_exempt: expected true or false, got 0.5"),
+    ("ev_tax_exempt: false", "ev_tax_exempt: 7",
+     "entry 2023: ev_tax_exempt: expected true or false, got 7"),
 ], ids=["span-one-year", "span-scalar", "year-inf", "year-nan", "interpolation-null",
-        "discount-rate-huge", "lifecycle-years-huge"])
+        "discount-rate-huge", "lifecycle-years-huge", "step-misspelt-key", "step-string",
+        "lifecycle-years-fraction", "lifecycle-years-bool", "year-fraction", "span-fraction",
+        "span-text", "battery-replacements-fraction", "flag-fraction", "flag-integer"])
 def test_malformed_scenario_exits_1_naming_the_file(tmp_path, capsys, old, new, message):
     text = config.scenario_path("long-range").read_text()
     assert old in text
@@ -130,3 +150,21 @@ def test_malformed_scenario_exits_1_naming_the_file(tmp_path, capsys, old, new, 
         config.load_schedule(str(bad))
     assert run(["premium-series", "--scenario", str(bad), "--out", str(tmp_path / "o.csv")]) == 1
     assert str(bad) in capsys.readouterr().err
+
+
+def test_integral_floats_load_as_their_integers(tmp_path):
+    text = config.scenario_path("long-range").read_text()
+    whole = text
+    for old, new in (("span: [2010, 2030]", "span: [2010.0, 2030.0]"),
+                     ("  - year: 2013\n", "  - year: 2013.0\n"),
+                     ("lifecycle_years: 10\n", "lifecycle_years: 10.0\n")):
+        assert old in whole
+        whole = whole.replace(old, new, 1)
+    path = tmp_path / "whole.yaml"
+    path.write_text(whole)
+    outputs = []
+    for scenario in ("long-range", str(path)):
+        out = tmp_path / "series.csv"
+        assert run(["premium-series", "--scenario", scenario, "--out", str(out)]) == 0
+        outputs.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+    assert outputs[0] == outputs[1]

@@ -323,6 +323,16 @@ def test_schedule_rejects_anchor_outside_cost_model_limits(name, value):
                             entries=(tj.ScheduleEntry(2010, {**first, name: value}),))
 
 
+def test_schedule_accepts_integral_floats_for_integer_fields():
+    first = dict(battery_only_schedule().entries[0].overrides)
+    whole = {**first, "lifecycle_years": 10.0, "consumer_battery_replacements": 2.0}
+    sched = tj.ScenarioSchedule("ok", "x", (2010, 2030),
+                                entries=(tj.ScheduleEntry(2010, whole),))
+    sc = tj.resolve_scenario(sched, 2015)
+    assert _bits(sc.usage.lifecycle_years) == _bits(10)
+    assert _bits(sc.consumer_battery_replacements) == _bits(2)
+
+
 def test_evaluate_returns_the_tcos_evaluate_year_used(lr_2021):
     point, tco_ev, tco_icev = tj._evaluate(lr_2021)
     assert point == tj.evaluate_year(lr_2021)
