@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__, config
-from . import costmodel as cm
 from . import sensitivity as sn
 from . import trajectory as tj
 
@@ -429,8 +428,7 @@ def run(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         args.func(args)
-    except (CliError, config.ConfigError, tj.ScheduleError, cm.DomainError,
-            ValueError) as exc:
+    except ValueError as exc:   # each input error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

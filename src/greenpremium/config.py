@@ -8,6 +8,7 @@ a file path directly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from importlib import resources
@@ -56,10 +57,30 @@ def scenario_path(ref: str) -> Path:
         f"unknown scenario {ref!r}; expected a YAML path or one of {BUILTIN_SCENARIOS}")
 
 
+@functools.cache
+def _unique_keys(loader: type) -> type:
+    """`loader`, except that a key repeated in one mapping is an error where
+    PyYAML keeps the last value. A key may still override a merged (<<) one."""
+    class UniqueKeyLoader(loader):
+        def construct_mapping(self, node, deep=False):
+            own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep)
+            if len(mapping) == len(node.value):     # no key repeats or overrides a merged one
+                return mapping
+            keys = [self.construct_object(k) for k in own]
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", own[i].start_mark)
+            return mapping
+    return UniqueKeyLoader
+
+
 def load_schedule(ref: str) -> ScenarioSchedule:
     path = scenario_path(ref)
     try:
-        doc = yaml.load(path.read_text(), Loader=_Loader)
+        doc = yaml.load(path.read_text(), Loader=_unique_keys(_Loader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     if not isinstance(doc, dict):

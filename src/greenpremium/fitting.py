@@ -2,7 +2,7 @@
 
 The estimator searches a real-valued genome (p, q[, beta][, m]) with
 tournament selection, blend crossover, Gaussian mutation and one-individual
-elitism. Residuals after `late_weight_from_year` carry extra weight, and
+elitism. Residuals from `LATE_WEIGHT_FROM_YEAR` on carry extra weight, and
 negative pre-clamp flows are penalised so the fitted curve stays physical
 over the observation window. All randomness flows through one seeded
 generator drawn in a fixed order, so a seed fully determines the result.
@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -71,56 +72,45 @@ class ObservationSeries:
         return len(self.points)
 
 
-DEFAULT_BOUNDS: Mapping[str, tuple[float, float]] = {
+# The GA's fixed settings; FitConfig holds the ones a caller chooses.
+CROSSOVER_PROB = 0.8            # a child blends its parents, else copies the first
+MUTATION_PROB = 0.1             # per gene
+LATE_WEIGHT_FROM_YEAR = 2018    # residuals from here on weigh FitConfig.late_weight
+PENALTY_WEIGHT = 1e4            # per squared negative pre-clamp flow
+# With early_stop, a fit ends after STAGNATION_PATIENCE generations in a row
+# that lower the best objective by no more than STAGNATION_TOL.
+STAGNATION_TOL = 1e-10
+STAGNATION_PATIENCE = 50
+DEFAULT_BOUNDS: Mapping[str, tuple[float, float]] = MappingProxyType({
     "p": (1e-4, 0.02),
     "q": (0.05, 0.8),
     "beta": (-8.0, 2.0),
     "m": (21_000.0, 150_000.0),
-}
+})
 
 
 @dataclass(frozen=True)
 class FitConfig:
     population_size: int = 800
-    crossover_prob: float = 0.8
-    mutation_prob: float = 0.1
     max_generations: int = 500
     rng_seed: int = 0
-    bounds: Mapping[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_BOUNDS))
     m_value: float | None = None    # pins m when set
     late_weight: float = 4.0
-    late_weight_from_year: int = 2018
-    penalty_weight: float = 1e4
     early_stop: bool = True
-    stagnation_tol: float = 1e-10
-    stagnation_patience: int = 50
+    # The fixed parameter box, readable from a config; not a setting.
+    bounds: ClassVar[Mapping[str, tuple[float, float]]] = DEFAULT_BOUNDS
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.crossover_prob <= 1.0 and 0.0 <= self.mutation_prob <= 1.0):
-            raise FitError("probabilities must lie in [0, 1]")
         if self.population_size < 2:
             raise FitError("population_size must be >= 2")
         if self.rng_seed < 0:
             raise FitError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        for name, (lo, hi) in self.bounds.items():
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise FitError(f"bounds for {name!r} must be finite and ordered")
-        if "m" in self.bounds and not self.bounds["m"][0] > 0:
-            raise FitError("bounds for 'm' must have a lower end > 0")
         for name in ("late_weight", "m_value"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise FitError(f"{name} must be finite and > 0, got {value!r}")
-        for name in ("penalty_weight", "stagnation_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise FitError(f"{name} must be finite and >= 0, got {value!r}")
         if self.max_generations < 0:
             raise FitError(f"max_generations must be >= 0, got {self.max_generations}")
-        if self.stagnation_patience < 1:
-            raise FitError(
-                f"stagnation_patience must be >= 1, got {self.stagnation_patience}")
 
 
 @dataclass(frozen=True)
@@ -156,9 +146,8 @@ class _FitProblem:
                              for y in sim_years])
         self.fixed = {**({"beta": 0.0} if premiums is None else {}), **fixed}
         self.genes = tuple(g for g in ("p", "q", "beta", "m") if g not in self.fixed)
-        self.penalty_weight = cfg.penalty_weight
         self.columns = np.array([y - years[0] for y in years])
-        self.weights = np.array([cfg.late_weight if y >= cfg.late_weight_from_year
+        self.weights = np.array([cfg.late_weight if y >= LATE_WEIGHT_FROM_YEAR
                                  else 1.0 for y in years])[:, None]
         self.seen = np.array(obs.sales)[:, None]
 
@@ -186,7 +175,7 @@ class _FitProblem:
         total = np.zeros(len(genomes))
         for term in residual:
             total += term
-        penalty *= self.penalty_weight
+        penalty *= PENALTY_WEIGHT
         total += penalty
         return total
 
@@ -196,8 +185,8 @@ def objective(params: BassParams, obs: ObservationSeries,
     """The fitting loss for one parameter vector.
 
     Sum over observations of w(year) * (predicted - observed)^2, with
-    w(year) = late_weight from late_weight_from_year onward, plus
-    penalty_weight times the squared negative part of each pre-clamp flow.
+    w(year) = cfg.late_weight from LATE_WEIGHT_FROM_YEAR onward, plus
+    PENALTY_WEIGHT times the squared negative part of each pre-clamp flow.
     """
     problem = _FitProblem(obs, premiums, cfg, {"m": params.m})
     if premiums is None and params.beta != 0.0:
@@ -216,11 +205,9 @@ class _Draws:
     each gene's sigma.
     """
 
-    def __init__(self, rng: np.random.Generator, n_pop: int, cfg: FitConfig,
-                 sigma_rows: np.ndarray) -> None:
+    def __init__(self, rng: np.random.Generator, n_pop: int, sigma_rows: np.ndarray) -> None:
         n_children, n_genes = sigma_rows.shape
         self.rng, self.n_pop, self.sigma_rows = rng, n_pop, sigma_rows
-        self.cx_prob, self.mut_prob = cfg.crossover_prob, cfg.mutation_prob
         self.cands = np.empty((3, 2, n_children), dtype=np.int64)
         self.uniforms = np.empty(n_children * (1 + 2 * n_genes))
         self.cx_u = self.uniforms[:n_children]
@@ -234,8 +221,8 @@ class _Draws:
         np.copyto(self.cands, self.rng.integers(0, self.n_pop, size=(n_children, 2, 3))
                   .transpose(2, 1, 0))
         self.rng.random(out=self.uniforms)
-        np.greater_equal(self.cx_u, self.cx_prob, out=self.keep_a[:, 0])
-        np.less(self.mut_u, self.mut_prob, out=self.mutate)
+        np.greater_equal(self.cx_u, CROSSOVER_PROB, out=self.keep_a[:, 0])
+        np.less(self.mut_u, MUTATION_PROB, out=self.mutate)
         self.rng.standard_normal(out=self.noise)
         self.noise *= self.sigma_rows
         return self
@@ -347,11 +334,7 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     problem = _FitProblem(obs, premiums, cfg,
                           {} if cfg.m_value is None else {"m": cfg.m_value})
     gene_names = problem.genes
-    for g in gene_names:
-        if g not in cfg.bounds:
-            raise FitError(f"missing bounds for parameter {g!r}")
-    lo = np.array([cfg.bounds[g][0] for g in gene_names])
-    hi = np.array([cfg.bounds[g][1] for g in gene_names])
+    lo, hi = np.array([DEFAULT_BOUNDS[g] for g in gene_names]).T
     sigma = 0.1 * (hi - lo)
 
     rng = np.random.default_rng(cfg.rng_seed)
@@ -368,9 +351,8 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
 
     history: list[float] = []
     stale = 0
-    generations = 0
     converged = False
-    source = _DrawSource(lambda: _Draws(rng, n_pop, cfg, sigma_rows), cfg.max_generations,
+    source = _DrawSource(lambda: _Draws(rng, n_pop, sigma_rows), cfg.max_generations,
                          ahead=n_pop >= _AHEAD_MIN_POPULATION and cfg.max_generations > 0)
     # Leaving the block joins the helper. A genome whose squared error
     # overflows scores inf and loses every tournament.
@@ -378,7 +360,6 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
         fitness = problem.evaluate(pop)
         best_obj = float(np.min(fitness))
         for _ in range(cfg.max_generations):
-            generations += 1
             order = int(np.argmin(fitness))
             next_pop[0] = pop[order]
             next_fitness[0] = fitness[order]
@@ -391,12 +372,9 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
 
             gen_best = float(np.min(fitness))
             history.append(gen_best)
-            if best_obj - gen_best > cfg.stagnation_tol:
-                stale = 0
-            else:
-                stale += 1
+            stale = 0 if best_obj - gen_best > STAGNATION_TOL else stale + 1
             best_obj = min(best_obj, gen_best)
-            if cfg.early_stop and stale >= cfg.stagnation_patience:
+            if cfg.early_stop and stale >= STAGNATION_PATIENCE:
                 converged = True
                 break
 
@@ -405,14 +383,14 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
                        "large overflow the squared error (sales are in thousand vehicles)")
     params = problem.params(pop[int(np.argmin(fitness))])
     # Clamping puts a gene exactly on its bound, so == finds it.
-    at_bounds = tuple((g, "lower" if getattr(params, g) == cfg.bounds[g][0] else "upper")
-                      for g in gene_names if getattr(params, g) in cfg.bounds[g])
+    at_bounds = tuple((g, "lower" if getattr(params, g) == DEFAULT_BOUNDS[g][0] else "upper")
+                      for g in gene_names if getattr(params, g) in DEFAULT_BOUNDS[g])
     predicted = predictions(params, obs, premiums)
     return FitResult(
         params=params,
         objective=best_obj,
         r_squared=r_squared(predicted, obs.sales),
-        generations_run=generations,
+        generations_run=len(history),
         converged=converged,
         history=tuple(history),
         at_bounds=at_bounds,

@@ -87,13 +87,12 @@ def perturb(base: cm.VehicleScenario, factor: FactorSpec, pct: float,
     return (moved - premium) / abs(premium)
 
 
-def coefficient(changes: Sequence[float],
-                pcts: Sequence[float] = PERTURBATIONS) -> float:
+def coefficient(changes: Sequence[float]) -> float:
     """Origin-constrained least-squares slope of change vs perturbation."""
-    if len(changes) != len(pcts) or len(changes) < 2:
-        raise ValueError("need one change per perturbation, at least the ±10% pair")
-    sxy = sum(x * y for x, y in zip(pcts, changes))
-    sxx = sum(x * x for x in pcts)
+    if len(changes) != len(PERTURBATIONS):
+        raise ValueError(f"need one change per perturbation {PERTURBATIONS}")
+    sxy = sum(x * y for x, y in zip(PERTURBATIONS, changes))
+    sxx = sum(x * x for x in PERTURBATIONS)
     return sxy / sxx
 
 

@@ -45,7 +45,7 @@ ANCHOR_LIMITS = {
     "discount_rate": (-0.5, 1.0),
 }
 # Anchors that must be whole numbers (10.0 will do) and anchors that must be
-# true or false. Values resolved between anchors are not checked.
+# true or false; no other anchor may be. Values between anchors are unchecked.
 INTEGER_FIELDS = ("lifecycle_years", "consumer_battery_replacements")
 FLAG_FIELDS = ("ev_tax_exempt",)
 
@@ -112,11 +112,12 @@ class ScenarioSchedule:
                 if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
                     raise ScheduleError(
                         f"entry {e.year}: {name}: expected a finite number, got {value!r}")
-                if name in FLAG_FIELDS and not isinstance(value, bool):
-                    raise ScheduleError(
-                        f"entry {e.year}: {name}: expected true or false, got {value!r}")
                 if name in INTEGER_FIELDS:
                     integral(value, f"entry {e.year}: {name}")
+                if isinstance(value, bool) != (name in FLAG_FIELDS):
+                    expected = "true or false" if name in FLAG_FIELDS else "a number"
+                    raise ScheduleError(
+                        f"entry {e.year}: {name}: expected {expected}, got {value!r}")
                 lo, hi = ANCHOR_LIMITS.get(name, (-math.inf, math.inf))
                 if not lo <= value <= hi:
                     raise ScheduleError(

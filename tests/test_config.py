@@ -41,6 +41,30 @@ def test_truncated_yaml_names_file_and_line(tmp_path, loader):
     assert "line " in str(exc.value)
 
 
+def test_duplicate_key_names_file_and_line(tmp_path, loader, capsys):
+    """PyYAML keeps the last of two equal keys; a scenario file may not have them."""
+    text = config.scenario_path("long-range").read_text()
+    first = "    battery_unit_cost: 7500\n"
+    bad = tmp_path / "duplicate.yaml"
+    bad.write_text(text.replace(first, first + "    battery_unit_cost: 100\n", 1))
+    line = text[:text.index(first)].count("\n") + 2
+    with pytest.raises(config.ConfigError, match=r"duplicate\.yaml: invalid YAML") as exc:
+        config.load_schedule(str(bad))
+    assert f"found duplicate key 'battery_unit_cost'\n  in \"<unicode string>\", line {line}," \
+        in str(exc.value)
+    assert run(["tco", "--scenario", str(bad), "--year", "2010"]) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_a_key_may_override_a_merged_one(tmp_path, loader):
+    text = config.scenario_path("long-range").read_text()
+    merged = tmp_path / "merged.yaml"
+    merged.write_text("defaults: &d\n  name: other\n  vehicle_class: other\n"
+                      + text.replace("name: long-range\n", "<<: *d\nname: long-range\n", 1))
+    sched = config.load_schedule(str(merged))
+    assert (sched.name, sched.vehicle_class) == ("long-range", "long-range")
+
+
 # --- fuzzing the scenario loader through the CLI -------------------------------
 
 _SHIPPED = yaml.safe_load(config.scenario_path("long-range").read_text())
@@ -137,10 +161,13 @@ def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory)
      "entry 2010: ev_tax_exempt: expected true or false, got 0.5"),
     ("ev_tax_exempt: false", "ev_tax_exempt: 7",
      "entry 2023: ev_tax_exempt: expected true or false, got 7"),
+    ("battery_capacity: 75", "battery_capacity: true",
+     "entry 2010: battery_capacity: expected a number, got True"),
 ], ids=["span-one-year", "span-scalar", "year-inf", "year-nan", "interpolation-null",
         "discount-rate-huge", "lifecycle-years-huge", "step-misspelt-key", "step-string",
         "lifecycle-years-fraction", "lifecycle-years-bool", "year-fraction", "span-fraction",
-        "span-text", "battery-replacements-fraction", "flag-fraction", "flag-integer"])
+        "span-text", "battery-replacements-fraction", "flag-fraction", "flag-integer",
+        "number-bool"])
 def test_malformed_scenario_exits_1_naming_the_file(tmp_path, capsys, old, new, message):
     text = config.scenario_path("long-range").read_text()
     assert old in text

@@ -8,9 +8,11 @@ import pytest
 from greenpremium import fitting
 from greenpremium import trajectory as tj
 from greenpremium.diffusion import BassParams, decision_coefficient, simulate
-from greenpremium.fitting import (DEFAULT_BOUNDS, FitConfig, FitError,
-                                  ObservationError, ObservationSeries, compare_models, ga_fit,
-                                  objective, predictions, r_squared)
+from greenpremium.fitting import (CROSSOVER_PROB, DEFAULT_BOUNDS, LATE_WEIGHT_FROM_YEAR,
+                                  MUTATION_PROB, PENALTY_WEIGHT, STAGNATION_PATIENCE,
+                                  STAGNATION_TOL, FitConfig, FitError, ObservationError,
+                                  ObservationSeries, compare_models, ga_fit, objective,
+                                  predictions, r_squared)
 
 
 def flat_series(years, lifecycle):
@@ -55,9 +57,10 @@ def test_observation_error_locates_the_first_bad_point_as_given():
 
 # --- objective ---------------------------------------------------------------
 
-def independent_objective(params, obs, series, cfg):
-    """Single-pass recomputation of the loss, written without the library's
-    evaluation machinery."""
+def independent_terms(params, obs, series, cfg):
+    """Single-pass recomputation of the loss's two sums, the weighted squared
+    residuals and the squared negative raw flows, written without the
+    library's evaluation machinery."""
     years = obs.years
     sales = dict(obs.points)
     total = 0.0
@@ -73,10 +76,15 @@ def independent_objective(params, obs, series, cfg):
         flow = min(max(raw, 0.0), remaining)
         penalty += max(-raw, 0.0) ** 2
         if year in sales:
-            weight = cfg.late_weight if year >= cfg.late_weight_from_year else 1.0
+            weight = cfg.late_weight if year >= LATE_WEIGHT_FROM_YEAR else 1.0
             total += weight * (flow - sales[year]) ** 2
         cumulative += flow
-    return total + cfg.penalty_weight * penalty
+    return total, penalty
+
+
+def independent_objective(params, obs, series, cfg):
+    total, penalty = independent_terms(params, obs, series, cfg)
+    return total + PENALTY_WEIGHT * penalty
 
 
 def test_objective_zero_for_perfect_predictions(smooth_window):
@@ -99,10 +107,8 @@ def test_objective_late_weight_scales_only_late_residuals(smooth_window):
     params = BassParams(p=0.004, q=0.31, m=21000, beta=-1.0)
     truth = BassParams(p=0.002, q=0.4, m=21000, beta=-2.0)
     obs = synthetic_obs(truth, smooth_window, 2015, 12)
-    base_cfg = FitConfig(m_value=21000, late_weight=4.0,
-                         penalty_weight=0.0)
-    double_cfg = FitConfig(m_value=21000, late_weight=8.0,
-                           penalty_weight=0.0)
+    base_cfg = FitConfig(m_value=21000, late_weight=4.0)
+    double_cfg = FitConfig(m_value=21000, late_weight=8.0)
     pre_2018 = ObservationSeries(tuple(pt for pt in obs.points if pt[0] < 2018))
     early_part = objective(params, pre_2018, smooth_window, base_cfg)
     total_base = objective(params, obs, smooth_window, base_cfg)
@@ -111,6 +117,9 @@ def test_objective_late_weight_scales_only_late_residuals(smooth_window):
     late_double = total_double - early_part
     assert late_double == pytest.approx(2.0 * late_base, rel=1e-9)
     assert total_double - total_base == pytest.approx(late_base, rel=1e-9)
+    for cfg, total in ((base_cfg, total_base), (double_cfg, total_double)):
+        assert total == pytest.approx(
+            independent_objective(params, obs, smooth_window, cfg), rel=1e-12)
 
 
 def test_objective_invariant_under_observation_order(smooth_window):
@@ -136,10 +145,11 @@ def test_objective_penalises_negative_raw_flows():
     years = range(2015, 2021)
     series = flat_series(years, 2.0)  # x = -3
     obs = ObservationSeries(tuple((y, 10.0) for y in years))
-    with_pen = FitConfig(m_value=1000, penalty_weight=1e4)
-    no_pen = FitConfig(m_value=1000, penalty_weight=0.0)
-    assert objective(params, obs, series, with_pen) > objective(
-        params, obs, series, no_pen)
+    cfg = FitConfig(m_value=1000)
+    residuals, penalty = independent_terms(params, obs, series, cfg)
+    assert penalty > 0
+    assert objective(params, obs, series, cfg) == pytest.approx(
+        residuals + PENALTY_WEIGHT * penalty, rel=1e-12)
 
 
 # --- r_squared ----------------------------------------------------------------
@@ -198,26 +208,20 @@ def test_ga_fit_preconditions(smooth_window):
     zeros = ObservationSeries(tuple((2015 + i, 0.0) for i in range(6)))
     with pytest.raises(FitError, match="zero"):
         ga_fit(zeros, None, FitConfig())
-    obs = ObservationSeries(tuple((2015 + i, float(i + 1)) for i in range(6)))
-    with pytest.raises(FitError, match="bounds"):
-        ga_fit(obs, None, FitConfig(bounds={"p": (1e-4, 0.02)}))
-    with pytest.raises(FitError):
-        FitConfig(bounds={"p": (0.02, 1e-4), "q": (0.05, 0.8),
-                          "beta": (-8, 2), "m": (21000, 150000)})
 
 
 @pytest.mark.parametrize("setting, field", [
     ({"late_weight": math.nan}, "late_weight"),
     ({"late_weight": 0.0}, "late_weight"),
-    ({"penalty_weight": -1.0}, "penalty_weight"),
-    ({"penalty_weight": math.inf}, "penalty_weight"),
+    ({"late_weight": math.inf}, "late_weight"),
+    ({"late_weight": -1.0}, "late_weight"),
     ({"m_value": 0.0}, "m_value"),
     ({"m_value": math.nan}, "m_value"),
-    ({"bounds": {**DEFAULT_BOUNDS, "m": (0.0, 150_000.0)}}, "'m'"),
+    ({"m_value": math.inf}, "m_value"),
     ({"max_generations": -1}, "max_generations"),
-    ({"stagnation_patience": 0}, "stagnation_patience"),
-    ({"stagnation_tol": -1e-10}, "stagnation_tol"),
-    ({"stagnation_tol": math.nan}, "stagnation_tol"),
+    ({"population_size": 1}, "population_size"),
+    ({"population_size": 0}, "population_size"),
+    ({"population_size": -1}, "population_size"),
     ({"rng_seed": -1}, "rng_seed"),
 ])
 def test_fit_config_rejects_invalid_settings(setting, field):
@@ -226,8 +230,7 @@ def test_fit_config_rejects_invalid_settings(setting, field):
 
 
 def test_fit_config_accepts_boundary_settings():
-    FitConfig(penalty_weight=0.0, stagnation_tol=0.0, max_generations=0,
-              stagnation_patience=1)
+    FitConfig(max_generations=0)
 
 
 def test_ga_fit_recovers_synthetic_truth(smooth_window):
@@ -313,7 +316,7 @@ def reference_ga_fit(obs, premiums, cfg):
     m_value = cfg.m_value
     genes = (("p", "q") + (("beta",) if premiums is not None else ())
              + (("m",) if m_value is None else ()))
-    terms = [(y - years[0], cfg.late_weight if y >= cfg.late_weight_from_year
+    terms = [(y - years[0], cfg.late_weight if y >= LATE_WEIGHT_FROM_YEAR
               else 1.0, seen) for y, seen in obs.points]
 
     def evaluate(genomes):
@@ -327,10 +330,10 @@ def reference_ga_fit(obs, premiums, cfg):
         penalty = zeros.copy()
         for year_raw in raw:
             penalty += np.square(np.maximum(-year_raw, 0.0))
-        return total + cfg.penalty_weight * penalty
+        return total + PENALTY_WEIGHT * penalty
 
-    lo = np.array([cfg.bounds[g][0] for g in genes])
-    hi = np.array([cfg.bounds[g][1] for g in genes])
+    lo = np.array([DEFAULT_BOUNDS[g][0] for g in genes])
+    hi = np.array([DEFAULT_BOUNDS[g][1] for g in genes])
     sigma = 0.1 * (hi - lo)
     rng = np.random.default_rng(cfg.rng_seed)
     pop = lo + rng.random((cfg.population_size, len(genes))) * (hi - lo)
@@ -345,9 +348,9 @@ def reference_ga_fit(obs, premiums, cfg):
         elite = pop[order].copy()
         n = cfg.population_size - 1
         contenders = rng.integers(0, cfg.population_size, size=(n, 2, 3))
-        do_cx = rng.random(n) < cfg.crossover_prob
+        do_cx = rng.random(n) < CROSSOVER_PROB
         blend_u = rng.random((n, len(genes)))
-        mut_mask = rng.random((n, len(genes))) < cfg.mutation_prob
+        mut_mask = rng.random((n, len(genes))) < MUTATION_PROB
         mut_noise = rng.normal(0.0, 1.0, size=(n, len(genes))) * sigma
         parent_idx = contenders[:, :, 0].copy()
         for slot in (0, 1):
@@ -365,24 +368,43 @@ def reference_ga_fit(obs, premiums, cfg):
         fitness = np.concatenate([fitness[order:order + 1], evaluate(children)])
         gen_best = float(np.min(fitness))
         history.append(gen_best)
-        stale = 0 if best_obj - gen_best > cfg.stagnation_tol else stale + 1
+        stale = 0 if best_obj - gen_best > STAGNATION_TOL else stale + 1
         best_obj = min(best_obj, gen_best)
-        if cfg.early_stop and stale >= cfg.stagnation_patience:
+        if cfg.early_stop and stale >= STAGNATION_PATIENCE:
             break
     values = dict(zip(genes, (float(v) for v in pop[int(np.argmin(fitness))])))
-    at_bounds = tuple((g, "lower" if values[g] == cfg.bounds[g][0] else "upper")
-                      for g in genes if values[g] in cfg.bounds[g])
+    at_bounds = tuple((g, "lower" if values[g] == DEFAULT_BOUNDS[g][0] else "upper")
+                      for g in genes if values[g] in DEFAULT_BOUNDS[g])
     params = BassParams(p=values["p"], q=values["q"], m=values.get("m", cfg.m_value),
                         beta=values.get("beta", 0.0))
     return params, best_obj, tuple(history), generations, at_bounds
 
 
-def assert_ga_fit_matches_reference(long_range, china_sales, model, population, seed):
+# Enough generations that, with the fixed stagnation patience, some of the
+# reference cases below stop early and the others run to the limit.
+REFERENCE_GENERATIONS = 100
+REFERENCE_MODELS = ["vanilla", "generalized", "fixed-m"]
+REFERENCE_POPULATIONS = [2, 3, 60]
+
+
+def reference_case(long_range, model, population, seed):
     premiums = (None if model == "vanilla"
                 else tj.premium_series(long_range, range(2010, 2022)))
     extra = {"m_value": 30000.0} if model == "fixed-m" else {}
-    cfg = FitConfig(rng_seed=seed, population_size=population, max_generations=60,
-                    stagnation_patience=20, **extra)
+    return premiums, FitConfig(rng_seed=seed, population_size=population,
+                               max_generations=REFERENCE_GENERATIONS, **extra)
+
+
+def test_reference_cases_take_both_stop_paths(long_range, china_sales):
+    runs = {ga_fit(china_sales, *reference_case(long_range, model, population, seed))
+            .generations_run for model in REFERENCE_MODELS
+            for population in REFERENCE_POPULATIONS for seed in range(4)}
+    assert min(runs) < REFERENCE_GENERATIONS
+    assert max(runs) == REFERENCE_GENERATIONS
+
+
+def assert_ga_fit_matches_reference(long_range, china_sales, model, population, seed):
+    premiums, cfg = reference_case(long_range, model, population, seed)
     threads = threading.active_count()
     result = ga_fit(china_sales, premiums, cfg)
     assert threading.active_count() == threads
@@ -392,8 +414,8 @@ def assert_ga_fit_matches_reference(long_range, china_sales, model, population, 
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("population", [2, 3, 60])
-@pytest.mark.parametrize("model", ["vanilla", "generalized", "fixed-m"])
+@pytest.mark.parametrize("population", REFERENCE_POPULATIONS)
+@pytest.mark.parametrize("model", REFERENCE_MODELS)
 def test_ga_fit_matches_plain_reference_bitwise(long_range, china_sales,
                                                 model, population, seed):
     """Every draw, selection and rounding of the GA matches the plain
@@ -403,8 +425,8 @@ def test_ga_fit_matches_plain_reference_bitwise(long_range, china_sales,
 
 @pytest.mark.parametrize("late", [False, True], ids=["ahead", "late-helper"])
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("population", [2, 3, 60])
-@pytest.mark.parametrize("model", ["vanilla", "generalized", "fixed-m"])
+@pytest.mark.parametrize("population", REFERENCE_POPULATIONS)
+@pytest.mark.parametrize("model", REFERENCE_MODELS)
 def test_ga_fit_drawing_ahead_matches_plain_reference_bitwise(
         long_range, china_sales, monkeypatch, model, population, seed, late):
     """With every population drawing ahead on the helper thread, the stream,
