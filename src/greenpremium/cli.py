@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 
 REPORT_DIGITS = 6    # report columns
 EXACT_DIGITS = 17    # fitted parameters and predictions (round-trippable)
-FIXED_M = 21_000.0   # m pinned by a bare --m-mode fixed (thousand vehicles)
 
 
 class CliError(ValueError):
@@ -158,6 +157,13 @@ def _manifest(args, command: str, seed: int | None = None, **extra) -> RunManife
     )
 
 
+def _years(args) -> range:
+    """The years --from..--to, both included."""
+    if args.year_to < args.year_from:
+        raise CliError("--to must not precede --from")
+    return range(args.year_from, args.year_to + 1)
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -169,15 +175,11 @@ def _resolve_seed(args) -> int:
 
 def _fit_config(args, seed: int) -> FitConfig:
     from .fitting import FitConfig
-    kwargs = dict(rng_seed=seed)
+    kwargs = dict(rng_seed=seed, m_value=args.m_value)
     if args.population is not None:
         kwargs["population_size"] = args.population
     if args.generations is not None:
         kwargs["max_generations"] = args.generations
-    if args.m_mode == "free" and args.m_value is not None:
-        raise CliError("--m-value pins m, so it cannot go with --m-mode free")
-    if args.m_mode == "fixed" or args.m_value is not None:
-        kwargs["m_value"] = FIXED_M if args.m_value is None else args.m_value
     if args.late_weight is not None:
         kwargs["late_weight"] = args.late_weight
     if getattr(args, "no_early_stop", False):
@@ -227,7 +229,7 @@ def cmd_tco(args) -> None:
 
 def cmd_premium_series(args) -> None:
     sched = config.load_schedule(args.scenario)
-    series = tj.premium_series(sched, range(args.year_from, args.year_to + 1))
+    series = tj.premium_series(sched, _years(args))
     rows = [[str(p.year), _fmt(p.production), _fmt(p.acquisition),
              _fmt(p.lifecycle), _fmt(p.lcod_ev), _fmt(p.lcod_icev)]
             for p in series.points]
@@ -240,7 +242,7 @@ def cmd_premium_series(args) -> None:
 
 def cmd_parity(args) -> None:
     sched = config.load_schedule(args.scenario)
-    series = tj.premium_series(sched, range(args.year_from, args.year_to + 1))
+    series = tj.premium_series(sched, _years(args))
     kinds = (("lifecycle", "acquisition", "production")
              if args.which == "all" else (args.which,))
     rows = []
@@ -285,12 +287,10 @@ def cmd_forecast(args) -> None:
     from .diffusion import decision_coefficient, simulate
     params = load_params_csv(args.params)
     sched = config.load_schedule(args.scenario)
-    horizon = args.year_to - args.year_from + 1
-    if horizon < 1:
-        raise CliError("--to must not precede --from")
-    series = tj.premium_series(sched, range(args.year_from, args.year_to + 1))
+    years = _years(args)
+    series = tj.premium_series(sched, years)
     try:
-        states = simulate(params, series, args.year_from, horizon)
+        states = simulate(params, series, args.year_from, len(years))
     except ValueError as exc:
         raise CliError(f"{args.params}: {exc}") from exc
     rows = []
@@ -358,6 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="built-in scenario name or YAML path")
         p.add_argument("--out", default="-", help="output CSV file (default stdout)")
 
+    def add_years(p):   # read by _years
+        p.add_argument("--from", dest="year_from", type=int, default=2010)
+        p.add_argument("--to", dest="year_to", type=int, default=2030)
+
     p = sub.add_parser("tco", help="cost snapshot for one model year")
     add_common(p)
     p.add_argument("--year", type=int, default=2021)
@@ -365,14 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("premium-series", help="per-year premiums and LCOD")
     add_common(p)
-    p.add_argument("--from", dest="year_from", type=int, default=2010)
-    p.add_argument("--to", dest="year_to", type=int, default=2030)
+    add_years(p)
     p.set_defaults(func=cmd_premium_series)
 
     p = sub.add_parser("parity", help="first years each premium reaches zero")
     add_common(p)
-    p.add_argument("--from", dest="year_from", type=int, default=2010)
-    p.add_argument("--to", dest="year_to", type=int, default=2030)
+    add_years(p)
     p.add_argument("--which", default="all",
                    choices=["all", "lifecycle", "acquisition", "production"])
     p.set_defaults(func=cmd_parity)
@@ -381,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--population", type=int, default=None)
         p.add_argument("--generations", type=int, default=None)
-        p.add_argument("--m-mode", dest="m_mode", choices=["free", "fixed"], default=None)
         p.add_argument("--m-value", dest="m_value", type=float, default=None)
         p.add_argument("--late-weight", dest="late_weight", type=float, default=None)
         p.add_argument("--no-early-stop", dest="no_early_stop", action="store_true")
@@ -397,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forecast", help="simulate adoption from fitted parameters")
     add_common(p)
     p.add_argument("--params", required=True, help="fit output CSV")
-    p.add_argument("--from", dest="year_from", type=int, default=2010)
-    p.add_argument("--to", dest="year_to", type=int, default=2030)
+    add_years(p)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("sensitivity", help="one-at-a-time factor sensitivity table")

@@ -151,8 +151,7 @@ class VehicleScenario:
     """Everything needed to evaluate one model year.
 
     When ev_price_margin / icev_price_margin are set, market prices are
-    derived as (1 + margin) * production cost; `derive_prices` keeps the
-    snapshot consistent after a field of the scenario is changed.
+    derived as (1 + margin) * production cost (see `build_scenario`).
 
     consumer_battery_replacements shifts mid-life pack replacements onto
     the buyer (manufacturers carry them under warranty by default, so 0).
@@ -206,11 +205,6 @@ def _values_with(obj, name: str, value) -> list:
     if name not in names:
         raise TypeError(f"{type(obj).__name__} has no field {name!r}")
     return [value if n == name else getattr(obj, n) for n in names]
-
-
-def derive_prices(sc: VehicleScenario) -> VehicleScenario:
-    """Recompute margin-linked market prices from current production costs."""
-    return build_scenario(*(getattr(sc, n) for n in FIELD_NAMES[VehicleScenario]))
 
 
 def replace_field(sc: VehicleScenario, path: str, value) -> VehicleScenario:

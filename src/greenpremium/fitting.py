@@ -420,6 +420,8 @@ def r_squared(predicted: Sequence[float], observed: Sequence[float]) -> float:
         raise ValueError("R^2 undefined: observations are all equal")
     if not math.isfinite(sst + sse):
         raise ValueError("R^2 undefined: squared deviations are not finite")
+    if not math.isfinite(sse / sst):
+        raise ValueError("R^2 undefined: observations vary too little")
     return 1.0 - sse / sst
 
 

@@ -160,15 +160,6 @@ class ScenarioSchedule:
                 out[name] = prev_val
         return out
 
-    def value_at(self, field_name: str, year: int) -> object:
-        """Resolve one field, as `values_at` does."""
-        values = self.values_at(year)
-        if field_name not in values:
-            if not self._tracks.get(field_name):
-                raise ScheduleError(f"field {field_name!r} has no anchors")
-            raise SpanError(f"year {year} precedes first anchor for {field_name!r}")
-        return values[field_name]
-
 
 def resolve_scenario(sched: ScenarioSchedule, year: int) -> cm.VehicleScenario:
     """Materialize the schedule into one immutable model-year snapshot.

@@ -187,6 +187,17 @@ def test_tco_and_parity_commands(tmp_path):
     assert {r["premium"]: r["parity_year"] for r in parity}["lifecycle"] == "2018"
 
 
+@pytest.mark.parametrize("command", ["premium-series", "parity", "forecast"])
+def test_to_before_from_exits_1_naming_both_flags(tmp_path, capsys, command):
+    params = tmp_path / "params.csv"
+    params.write_text("p,q,beta,m\n0.001,0.5,0,80000\n")
+    extra = ["--params", str(params)] if command == "forecast" else []
+    out = tmp_path / "out.csv"
+    assert run([command, *extra, "--from", "2030", "--to", "2010", "--out", str(out)]) == 1
+    assert "error: --to must not precede --from" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sensitivity_command(tmp_path):
     out = run_to_file(tmp_path, "sens.csv", ["sensitivity", "--year", "2021"])
     rows = parse_csv(out)
@@ -353,7 +364,7 @@ def test_exit_codes(tmp_path):
 @pytest.mark.parametrize("options, field", [
     (["--late-weight", "nan"], "late_weight"),
     (["--late-weight", "-1"], "late_weight"),
-    (["--m-mode", "fixed", "--m-value", "0"], "m_value"),
+    (["--m-value", "0"], "m_value"),
     (["--generations", "-1"], "max_generations"),
     (["--seed", "-1"], "rng_seed"),
 ], ids=["late-weight-nan", "late-weight-negative", "m-value-zero", "generations-negative",
@@ -369,21 +380,20 @@ def test_fit_rejects_invalid_settings_before_fitting(tmp_path, capsys, options, 
 
 @pytest.mark.parametrize("command", ["fit", "compare"])
 def test_m_value_with_free_m_mode_is_rejected(tmp_path, capsys, command):
+    # --m-value is the one way to pin m; --m-mode is no longer an option.
     out = tmp_path / "out.csv"
-    code = run([command, "--data", str(config.sample_sales_path()), "--seed", "0",
-                "--m-mode", "free", "--m-value", "30000", "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "--m-mode free" in err and "--m-value" in err
+    for mode in (["--m-mode", "free", "--m-value", "30000"], ["--m-mode", "fixed"]):
+        code = run([command, "--data", str(config.sample_sales_path()), "--seed", "0",
+                    *mode, "--out", str(out)])
+        assert code == 1
+        assert f"unrecognized arguments: --m-mode {mode[1]}" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("options, m, mode", [
     ([], None, "free"),
-    (["--m-mode", "fixed"], "21000", "fixed"),
     (["--m-value", "30000"], "30000", "fixed"),
-    (["--m-mode", "fixed", "--m-value", "30000"], "30000", "fixed"),
-], ids=["default", "bare-fixed", "value", "fixed-value"])
+], ids=["default", "value"])
 def test_fit_m_flags_pin_m_and_name_the_mode(tmp_path, options, m, mode):
     out = run_to_file(tmp_path, "fit.csv",
                       ["fit", "--data", str(config.sample_sales_path()), "--seed", "0",

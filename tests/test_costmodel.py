@@ -14,7 +14,7 @@ TABLE_ICEV = cm.IcevPowertrain(engine_intake_exhaust_cost=16000, transmission_co
 
 
 def scenario_2021(**overrides):
-    """Hand-assembled 2021 snapshot with explicit (non-derived) prices."""
+    """Hand-assembled 2021 snapshot; prices are derived only where a margin is set."""
     fields = dict(
         year=2021,
         ev=TABLE_EV,
@@ -33,7 +33,7 @@ def scenario_2021(**overrides):
                                common_base_cost=94500),
     )
     fields.update(overrides)
-    return cm.VehicleScenario(**fields)
+    return cm.build_scenario(**fields)
 
 
 # --- production costs and premium ----------------------------------------
@@ -323,7 +323,6 @@ def test_lcod_tco_consistency_random_scenarios(data):
 
 def derived_scenario(**overrides):
     sc = scenario_2021(ev_price_margin=0.5503, icev_price_margin=0.358)
-    sc = cm.derive_prices(sc)
     for path, value in overrides.items():
         sc = cm.replace_field(sc, path.replace("__", "."), value)
     return sc
@@ -400,7 +399,7 @@ def test_invalid_inputs_rejected():
 # --- the snapshot builder, bit for bit ----------------------------------------
 
 def _derive_by_replace(sc):
-    """derive_prices as it was: dataclasses.replace with re-derived prices."""
+    """Margin-linked prices re-derived through dataclasses.replace."""
     if sc.ev_price_margin is None and sc.icev_price_margin is None:
         return sc
     base = sc.prices.common_base_cost
@@ -455,7 +454,6 @@ def test_replace_field_equals_dataclasses_replace_for_every_factor(long_range, m
                 want = _replace_by_replace(sc, path, value)
                 assert got == want
                 assert _scenario_bits(got) == _scenario_bits(want), (path, value)
-        assert _scenario_bits(cm.derive_prices(sc)) == _scenario_bits(_derive_by_replace(sc))
 
 
 @pytest.mark.parametrize("path, value, message", [

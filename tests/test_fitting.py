@@ -167,6 +167,8 @@ def test_r_squared_validation():
         r_squared([1.0, 2.0, 3.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         r_squared([1.0, 2.0], [3.0, 3.0])
+    with pytest.raises(ValueError, match="vary too little"):   # sse / sst overflows
+        r_squared([1.0, 1.0], [0.0, 1e-155])
 
 
 # --- ga_fit -------------------------------------------------------------------
@@ -566,6 +568,23 @@ def test_compare_models_premium_coupled_data(smooth_window):
     vanilla, generalized = compare_models(obs, smooth_window, cfg)
     assert generalized.r_squared > vanilla.r_squared
     assert vanilla.params.beta == 0.0
+
+
+def test_compare_models_fits_through_ga_fit_once_per_model(smooth_window, monkeypatch):
+    # perfbench's per-layer fitting.* metrics are read from ga_fit spans only.
+    calls = []
+
+    def recording_ga_fit(obs, premiums, cfg):
+        calls.append((obs, premiums, cfg))
+        return len(calls)
+
+    monkeypatch.setattr(fitting, "ga_fit", recording_ga_fit)
+    obs = ObservationSeries(tuple((2015 + i, float(i + 1)) for i in range(6)))
+    cfg = FitConfig(rng_seed=3, population_size=10, max_generations=2)
+    assert compare_models(obs, smooth_window, cfg) == (1, 2)
+    assert len(calls) == 2
+    assert calls[0][0] is obs and calls[0][1] is None and calls[0][2] is cfg
+    assert calls[1][0] is obs and calls[1][1] is smooth_window and calls[1][2] is cfg
 
 
 def test_compare_models_requires_premiums():
