@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 from . import __version__, config
 from . import sensitivity as sn
 from . import trajectory as tj
+from .costmodel import PREMIUM_KINDS
 
 # diffusion and fitting import numpy, so only the fit commands import them.
 if TYPE_CHECKING:
@@ -146,12 +147,12 @@ def load_params_csv(path: str) -> BassParams:
         raise CliError(f"{path}: not a fitted-parameters file ({exc})") from exc
 
 
-def _manifest(args, command: str, seed: int | None = None, **extra) -> RunManifest:
-    ref = getattr(args, "scenario", None)
+def _manifest(command: str, scenario: str | None, seed: int | None = None,
+              **extra) -> RunManifest:
     return RunManifest(
         command=command,
-        config_ref=ref,
-        config_digest=config.schedule_digest(ref) if ref else None,
+        config_ref=scenario,
+        config_digest=config.schedule_digest(scenario) if scenario else None,
         seed=seed,
         extra=tuple((k, str(v)) for k, v in extra.items()),
     )
@@ -187,6 +188,13 @@ def _fit_config(args, seed: int) -> FitConfig:
     return FitConfig(**kwargs)
 
 
+def _fit_settings(cfg: FitConfig) -> dict[str, object]:
+    """The settings a `fit` or `compare` manifest records, in order."""
+    return dict(population=cfg.population_size, generations=cfg.max_generations,
+                late_weight=cfg.late_weight,
+                m_mode="free" if cfg.m_value is None else "fixed")
+
+
 def _fit_rows(result: FitResult) -> tuple[list[str], list[list[str]]]:
     header = ["p", "q", "beta", "m", "objective", "r_squared",
               "generations_run", "converged"]
@@ -210,19 +218,19 @@ def _report_bounds(model: str, result: FitResult) -> None:
 def cmd_tco(args) -> None:
     sched = config.load_schedule(args.scenario)
     sc = tj.resolve_scenario(sched, args.year)
-    point, tco_ev, tco_icev = tj._evaluate(sc)
+    point = tj.evaluate_year(sc)
     rows = [
         ["ev_price", _fmt(sc.prices.ev_price)],
         ["icev_price", _fmt(sc.prices.icev_price)],
-        ["tco_ev", _fmt(tco_ev)],
-        ["tco_icev", _fmt(tco_icev)],
+        ["tco_ev", _fmt(point.tco_ev)],
+        ["tco_icev", _fmt(point.tco_icev)],
         ["lcod_ev", _fmt(point.lcod_ev)],
         ["lcod_icev", _fmt(point.lcod_icev)],
         ["production_premium", _fmt(point.production)],
         ["acquisition_premium", _fmt(point.acquisition)],
         ["lifecycle_premium", _fmt(point.lifecycle)],
     ]
-    manifest = _manifest(args, "tco", year=args.year,
+    manifest = _manifest("tco", args.scenario, year=args.year,
                          units="RMB; lcod in RMB/km; premiums are fractions")
     write_csv(args.out, manifest, ["quantity", "value"], rows)
 
@@ -233,7 +241,7 @@ def cmd_premium_series(args) -> None:
     rows = [[str(p.year), _fmt(p.production), _fmt(p.acquisition),
              _fmt(p.lifecycle), _fmt(p.lcod_ev), _fmt(p.lcod_icev)]
             for p in series.points]
-    manifest = _manifest(args, "premium-series",
+    manifest = _manifest("premium-series", args.scenario,
                          units="premiums are fractions; lcod in RMB/km")
     write_csv(args.out, manifest,
               ["year", "production_premium", "acquisition_premium",
@@ -243,13 +251,10 @@ def cmd_premium_series(args) -> None:
 def cmd_parity(args) -> None:
     sched = config.load_schedule(args.scenario)
     series = tj.premium_series(sched, _years(args))
-    kinds = (("lifecycle", "acquisition", "production")
-             if args.which == "all" else (args.which,))
-    rows = []
-    for kind in kinds:
-        year = tj.parity_year(series, kind)
-        rows.append([kind, "none" if year is None else str(year)])
-    manifest = _manifest(args, "parity")
+    years = (tj.parity_years(series) if args.which == "all"
+             else {args.which: tj.parity_year(series, args.which)})
+    rows = [[kind, "none" if year is None else str(year)] for kind, year in years.items()]
+    manifest = _manifest("parity", args.scenario)
     write_csv(args.out, manifest, ["premium", "parity_year"], rows)
 
 
@@ -272,14 +277,10 @@ def cmd_fit(args) -> None:
     result = ga_fit(obs, premiums, cfg)
     _report_bounds("vanilla" if args.vanilla else "generalized", result)
     header, rows = _fit_rows(result)
-    manifest = _manifest(args, "fit", seed=seed,
+    # A vanilla fit reads no scenario, so its manifest names none.
+    manifest = _manifest("fit", None if args.vanilla else args.scenario, seed=seed,
                          model="vanilla" if args.vanilla else "generalized",
-                         data=args.data,
-                         population=cfg.population_size,
-                         generations=cfg.max_generations,
-                         late_weight=cfg.late_weight,
-                         m_mode="free" if cfg.m_value is None else "fixed",
-                         numpy=np.__version__)
+                         data=args.data, **_fit_settings(cfg), numpy=np.__version__)
     write_csv(args.out, manifest, header, rows)
 
 
@@ -301,7 +302,7 @@ def cmd_forecast(args) -> None:
                      _fmt(s.cumulative + s.new_adopters, EXACT_DIGITS),
                      _fmt(dp3, EXACT_DIGITS),
                      _fmt(decision_coefficient(dp3, params.beta), EXACT_DIGITS)])
-    manifest = _manifest(args, "forecast", params_file=args.params,
+    manifest = _manifest("forecast", args.scenario, params_file=args.params,
                          units="sales in thousand vehicles")
     write_csv(args.out, manifest,
               ["year", "predicted_annual", "predicted_cumulative",
@@ -319,7 +320,7 @@ def cmd_sensitivity(args) -> None:
     extra = {"target": args.target, "year": args.year}
     for fid, msg in errors.items():
         extra[f"skipped_{fid}"] = msg
-    manifest = _manifest(args, "sensitivity", **extra)
+    manifest = _manifest("sensitivity", args.scenario, **extra)
     write_csv(args.out, manifest,
               ["factor", "group", "base", "change_-20%", "change_-10%",
                "change_+10%", "change_+20%", "coefficient"], rows)
@@ -337,8 +338,12 @@ def cmd_compare(args) -> None:
         _report_bounds(label, res)
         _, fit_rows = _fit_rows(res)
         rows.append([label] + fit_rows[0])
-    manifest = _manifest(args, "compare", seed=seed, data=args.data,
-                         numpy=np.__version__)
+    if generalized.objective > vanilla.objective:
+        print(f"warning: generalized fit: objective = "
+              f"{_fmt(generalized.objective, EXACT_DIGITS)} is above the vanilla fit's "
+              f"{_fmt(vanilla.objective, EXACT_DIGITS)}, which it nests", file=sys.stderr)
+    manifest = _manifest("compare", args.scenario, seed=seed, data=args.data,
+                         **_fit_settings(cfg), numpy=np.__version__)
     write_csv(args.out, manifest,
               ["model", "p", "q", "beta", "m", "objective", "r_squared",
                "generations_run", "converged"], rows)
@@ -376,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_years(p)
     p.add_argument("--which", default="all",
-                   choices=["all", "lifecycle", "acquisition", "production"])
+                   choices=["all", *PREMIUM_KINDS])
     p.set_defaults(func=cmd_parity)
 
     def add_fit_options(p):
@@ -405,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--year", type=int, default=2021)
     p.add_argument("--target", default="lifecycle",
-                   choices=["lifecycle", "acquisition", "production"])
+                   choices=PREMIUM_KINDS)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("compare", help="vanilla vs generalized fit on one dataset")

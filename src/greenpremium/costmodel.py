@@ -10,6 +10,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
+from typing import Literal, get_args
+
+# The green premium's three stages, in the order `parity` reports them.
+PremiumKind = Literal["lifecycle", "acquisition", "production"]
+PREMIUM_KINDS: tuple[PremiumKind, ...] = get_args(PremiumKind)
 
 
 class DomainError(ValueError):

@@ -12,11 +12,10 @@ squares over the four points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import costmodel as cm
 
-PremiumTarget = Literal["production", "acquisition", "lifecycle"]
 PERTURBATIONS = (-0.20, -0.10, 0.10, 0.20)
 DEGENERATE_BASE = 1e-9
 
@@ -45,7 +44,7 @@ class SensitivityRow:
     coefficient: float
 
 
-def _premium(sc: cm.VehicleScenario, target: PremiumTarget) -> float:
+def _premium(sc: cm.VehicleScenario, target: cm.PremiumKind) -> float:
     if target == "production":
         return cm.production_premium(
             cm.production_cost_ev(sc.ev, sc.prices.common_base_cost),
@@ -56,7 +55,7 @@ def _premium(sc: cm.VehicleScenario, target: PremiumTarget) -> float:
 
 
 def reference_point(base: cm.VehicleScenario, factor: FactorSpec,
-                    target: PremiumTarget = "lifecycle") -> tuple[cm.VehicleScenario, float]:
+                    target: cm.PremiumKind = "lifecycle") -> tuple[cm.VehicleScenario, float]:
     """The factor's re-based scenario and its premium, which `perturb` normalises by.
 
     Raises DegenerateBaseError when that premium is too close to zero.
@@ -72,7 +71,7 @@ def reference_point(base: cm.VehicleScenario, factor: FactorSpec,
 
 
 def perturb(base: cm.VehicleScenario, factor: FactorSpec, pct: float,
-            target: PremiumTarget = "lifecycle",
+            target: cm.PremiumKind = "lifecycle",
             reference: tuple[cm.VehicleScenario, float] | None = None) -> float:
     """Relative premium change when the factor's field moves by `pct`.
 
@@ -97,7 +96,7 @@ def coefficient(changes: Sequence[float]) -> float:
 
 
 def sensitivity_table(base: cm.VehicleScenario, factors: Sequence[FactorSpec],
-                      target: PremiumTarget = "lifecycle",
+                      target: cm.PremiumKind = "lifecycle",
                       ) -> tuple[list[SensitivityRow], dict[str, str]]:
     """Evaluate all factors; degenerate bases are collected, not fatal.
 

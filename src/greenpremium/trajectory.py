@@ -12,11 +12,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import costmodel as cm
-
-PremiumKind = Literal["production", "acquisition", "lifecycle"]
 
 # Schedule keys, grouped by the scenario member they populate.
 EV_FIELDS, ICEV_FIELDS, POLICY_FIELDS, USAGE_FIELDS, FINANCE_FIELDS = (
@@ -198,6 +196,8 @@ class PremiumPoint:
     lifecycle: float
     lcod_ev: float
     lcod_icev: float
+    tco_ev: float
+    tco_icev: float
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,8 @@ class PremiumSeries:
         if years and years != list(range(years[0], years[0] + len(years))):
             raise ValueError("premium series years must be contiguous")
         for p in self.points:
-            for v in (p.production, p.acquisition, p.lifecycle, p.lcod_ev, p.lcod_icev):
+            for v in (p.production, p.acquisition, p.lifecycle, p.lcod_ev, p.lcod_icev,
+                      p.tco_ev, p.tco_icev):
                 if v != v or v in (float("inf"), float("-inf")):
                     raise ValueError(f"non-finite premium value in year {p.year}")
 
@@ -234,26 +235,22 @@ class PremiumSeries:
         return self.point(year).lifecycle
 
 
-def _evaluate(sc: cm.VehicleScenario) -> tuple[PremiumPoint, float, float]:
-    """`evaluate_year`'s point together with the EV and ICEV TCOs it used."""
+def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
+    """The three premiums, both LCODs and both TCOs of one resolved scenario."""
     prod_ev = cm.production_cost_ev(sc.ev, sc.prices.common_base_cost)
     prod_icev = cm.production_cost_icev(sc.icev, sc.prices.common_base_cost)
     tco_ev = cm.tco_npv(sc, cm.VehicleKind.EV)
     tco_icev = cm.tco_npv(sc, cm.VehicleKind.ICEV)
-    point = PremiumPoint(
+    return PremiumPoint(
         year=sc.year,
         production=cm.production_premium(prod_ev, prod_icev),
         acquisition=cm.acquisition_premium(sc),
         lifecycle=cm.tco_premium(tco_ev, tco_icev),
         lcod_ev=cm.lcod(tco_ev, sc.usage),
         lcod_icev=cm.lcod(tco_icev, sc.usage),
+        tco_ev=tco_ev,
+        tco_icev=tco_icev,
     )
-    return point, tco_ev, tco_icev
-
-
-def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
-    """All three premiums plus both LCODs for one resolved scenario."""
-    return _evaluate(sc)[0]
 
 
 def premium_series(sched: ScenarioSchedule, years: Iterable[int]) -> PremiumSeries:
@@ -261,7 +258,7 @@ def premium_series(sched: ScenarioSchedule, years: Iterable[int]) -> PremiumSeri
         evaluate_year(resolve_scenario(sched, y)) for y in years))
 
 
-def parity_year(series: PremiumSeries, which: PremiumKind) -> int | None:
+def parity_year(series: PremiumSeries, which: cm.PremiumKind) -> int | None:
     """First year the selected premium reaches zero; None if it never does."""
     if not series.points:
         raise ValueError("parity_year needs a non-empty series")
@@ -271,5 +268,5 @@ def parity_year(series: PremiumSeries, which: PremiumKind) -> int | None:
     return None
 
 
-def parity_years(series: PremiumSeries) -> dict[str, int | None]:
-    return {k: parity_year(series, k) for k in ("lifecycle", "acquisition", "production")}
+def parity_years(series: PremiumSeries) -> dict[cm.PremiumKind, int | None]:
+    return {k: parity_year(series, k) for k in cm.PREMIUM_KINDS}

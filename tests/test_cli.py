@@ -247,6 +247,18 @@ def test_scenario_command_output_matches_its_pinned_digest(tmp_path, case):
     assert hashlib.sha256(body).hexdigest() == _PINNED_OUTPUTS[case]
 
 
+# Each scenario command's whole output, manifest included, on both shipped
+# scenarios with the default options: tests/golden/<command>_<scenario>.csv.
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("scenario", ["long-range", "short-range"])
+@pytest.mark.parametrize("command", ["tco", "premium-series", "parity", "sensitivity"])
+def test_scenario_command_output_matches_its_golden_file(tmp_path, command, scenario):
+    out = run_to_file(tmp_path, "out.csv", [command, "--scenario", scenario])
+    assert out.read_bytes() == (_GOLDEN / f"{command}_{scenario}.csv").read_bytes()
+
+
 def test_fit_forecast_round_trip(tmp_path, china_sales):
     sales = str(config.sample_sales_path())
     fitted = run_to_file(tmp_path, "fitted.csv",
@@ -293,13 +305,33 @@ def test_manifest_comments_present(tmp_path):
     assert "# command: premium-series" in text
     assert "# scenario: long-range sha256:" in text
     assert "# numpy:" not in text
-    # A fit's bytes depend on numpy's random stream, so fit manifests name it.
+    # A fit's bytes depend on numpy's random stream, so fit manifests name it,
+    # and fit and compare both record the fit settings, in the same order.
     sales = str(config.sample_sales_path())
-    for command in ("fit", "compare"):
-        out = run_to_file(tmp_path, f"{command}.csv",
-                          [command, "--data", sales, "--seed", "0",
-                           "--population", "20", "--generations", "3"])
-        assert f"# numpy: {np.__version__}" in out.read_text().splitlines()
+    for options, settings in (
+            ([], ["# population: 20", "# generations: 3", "# late_weight: 4.0",
+                  "# m_mode: free"]),
+            (["--late-weight", "2", "--m-value", "30000"],
+             ["# population: 20", "# generations: 3", "# late_weight: 2.0",
+              "# m_mode: fixed"])):
+        for command in ("fit", "compare"):
+            out = run_to_file(tmp_path, f"{command}.csv",
+                              [command, "--data", sales, "--seed", "0",
+                               "--population", "20", "--generations", "3", *options])
+            lines = out.read_text().splitlines()
+            assert f"# numpy: {np.__version__}" in lines
+            start = lines.index(settings[0])
+            assert lines[start:start + 4] == settings
+
+
+def test_vanilla_fit_reads_no_scenario_and_names_none(tmp_path):
+    out = run_to_file(tmp_path, "vanilla.csv",
+                      ["fit", "--vanilla", "--data", str(config.sample_sales_path()),
+                       "--seed", "0", "--population", "20", "--generations", "3",
+                       "--scenario", str(tmp_path / "nonexistent.yaml")])
+    text = out.read_text()
+    assert "# model: vanilla" in text
+    assert "# scenario:" not in text
 
 
 def test_load_sales_reports_the_offending_line_past_comments(tmp_path):
@@ -442,8 +474,23 @@ def test_compare_reports_parameter_on_bound(tmp_path, capsys):
     out = run_to_file(tmp_path, "cmp.csv", ["compare", "--data", sales, "--seed", "0"])
     err = capsys.readouterr().err
     assert "warning: generalized fit: m = 150000 is at its upper bound" in err
+    assert "above the vanilla fit" not in err
     generalized = parse_csv(out)[1]
     assert generalized["model"] == "generalized" and float(generalized["m"]) == 150000
+    assert "warning" not in out.read_text()
+
+
+def test_compare_warns_when_the_generalized_fit_is_worse_than_the_vanilla_fit(
+        tmp_path, capsys):
+    sales = str(config.sample_sales_path())
+    out = run_to_file(tmp_path, "cmp.csv", ["compare", "--data", sales, "--seed", "0",
+                                            "--population", "50", "--generations", "5"])
+    vanilla, generalized = (row["objective"] for row in parse_csv(out))
+    assert float(generalized) > float(vanilla)
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if "above the vanilla fit" in line]
+    assert warnings == [f"warning: generalized fit: objective = {generalized} is above "
+                        f"the vanilla fit's {vanilla}, which it nests"]
     assert "warning" not in out.read_text()
 
 
@@ -454,9 +501,8 @@ def test_scenario_commands_do_not_import_numpy(tmp_path):
         "for cmd in ('tco', 'premium-series', 'parity', 'sensitivity'):\n"
         "    assert cli.run([cmd, '--out', cmd + '.csv']) == 0, cmd\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-        "import greenpremium\n"
-        "from greenpremium import BassParams, ga_fit\n"
-        "assert greenpremium.BassParams is BassParams and callable(ga_fit)\n")
+        "from greenpremium.fitting import ga_fit\n"
+        "assert 'numpy' in sys.modules and callable(ga_fit)\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,

@@ -11,7 +11,7 @@ from greenpremium.diffusion import (AdoptionState, BassParams,
 
 def flat_series(years, lifecycle):
     return tj.PremiumSeries(points=tuple(
-        tj.PremiumPoint(y, 0.0, 0.0, lifecycle, 1.0, 1.0) for y in years))
+        tj.PremiumPoint(y, 0.0, 0.0, lifecycle, 1.0, 1.0, 1.0, 1.0) for y in years))
 
 
 # --- decision coefficient ------------------------------------------------

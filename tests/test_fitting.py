@@ -17,7 +17,7 @@ from greenpremium.fitting import (CROSSOVER_PROB, DEFAULT_BOUNDS, LATE_WEIGHT_FR
 
 def flat_series(years, lifecycle):
     return tj.PremiumSeries(points=tuple(
-        tj.PremiumPoint(y, 0.0, 0.0, lifecycle, 1.0, 1.0) for y in years))
+        tj.PremiumPoint(y, 0.0, 0.0, lifecycle, 1.0, 1.0, 1.0, 1.0) for y in years))
 
 
 def synthetic_obs(params, series, start, horizon):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -152,8 +153,17 @@ def test_evaluate_year_rejects_non_positive_icev_tco(lr_2021):
 def test_premium_series_requires_contiguous_years():
     with pytest.raises(ValueError):
         tj.PremiumSeries(points=(
-            tj.PremiumPoint(2010, 0, 0, 0, 1, 1),
-            tj.PremiumPoint(2012, 0, 0, 0, 1, 1)))
+            tj.PremiumPoint(2010, 0, 0, 0, 1, 1, 1, 1),
+            tj.PremiumPoint(2012, 0, 0, 0, 1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("name", ["production", "acquisition", "lifecycle", "lcod_ev",
+                                  "lcod_icev", "tco_ev", "tco_icev"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_premium_series_rejects_a_non_finite_value(name, value):
+    point = tj.PremiumPoint(2010, 0, 0, 0, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="non-finite premium value in year 2010"):
+        tj.PremiumSeries(points=(dataclasses.replace(point, **{name: value}),))
 
 
 def test_premium_point_lookup(lr_series):
@@ -180,8 +190,13 @@ def test_parity_years_short_range(sr_series):
 
 def test_parity_none_when_never_crossed():
     always_positive = tj.PremiumSeries(points=tuple(
-        tj.PremiumPoint(2010 + i, 0.5, 0.4, 0.3, 2.0, 1.8) for i in range(5)))
+        tj.PremiumPoint(2010 + i, 0.5, 0.4, 0.3, 2.0, 1.8, 3e5, 2.7e5) for i in range(5)))
     assert tj.parity_year(always_positive, "lifecycle") is None
+
+
+def test_parity_years_lists_the_premium_kinds_in_order(lr_series):
+    assert tuple(tj.parity_years(lr_series)) == cm.PREMIUM_KINDS == (
+        "lifecycle", "acquisition", "production")
 
 
 def test_parity_ordering_invariant(lr_series, sr_series):
@@ -329,7 +344,8 @@ def test_schedule_accepts_integral_floats_for_integer_fields():
 
 
 def test_evaluate_returns_the_tcos_evaluate_year_used(lr_2021):
-    point, tco_ev, tco_icev = tj._evaluate(lr_2021)
-    assert point == tj.evaluate_year(lr_2021)
-    assert tco_ev == cm.tco_npv(lr_2021, cm.VehicleKind.EV)
-    assert tco_icev == cm.tco_npv(lr_2021, cm.VehicleKind.ICEV)
+    point = tj.evaluate_year(lr_2021)
+    assert point.tco_ev == cm.tco_npv(lr_2021, cm.VehicleKind.EV)
+    assert point.tco_icev == cm.tco_npv(lr_2021, cm.VehicleKind.ICEV)
+    assert point.lifecycle == cm.tco_premium(point.tco_ev, point.tco_icev)
+    assert point.lcod_ev == cm.lcod(point.tco_ev, lr_2021.usage)
