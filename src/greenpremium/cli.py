@@ -79,8 +79,25 @@ def write_csv(out: str | None, manifest: RunManifest, header: list[str],
     text = buffer.getvalue()
     if out in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, newline="")
+    except OSError as exc:
+        raise CliError(f"cannot write --out {out}: {exc.strerror}") from None
+
+
+def _check_out(out: str) -> None:
+    """Reject an --out path that cannot be a file before any work is done."""
+    if out == "-":
+        return
+    path = Path(out)
+    try:
+        if path.is_dir():
+            raise CliError(f"--out {out}: is a directory")
+        if not path.parent.is_dir():
+            raise CliError(f"--out {out}: directory {path.parent} not found")
+    except OSError as exc:      # e.g. a parent directory that cannot be searched
+        raise CliError(f"--out {out}: {exc.strerror}") from None
 
 
 def load_sales_csv(path: str) -> ObservationSeries:
@@ -336,7 +353,7 @@ def cmd_compare(args) -> None:
     rows = []
     for label, res in (("vanilla", vanilla), ("generalized", generalized)):
         _report_bounds(label, res)
-        _, fit_rows = _fit_rows(res)
+        header, fit_rows = _fit_rows(res)
         rows.append([label] + fit_rows[0])
     if generalized.objective > vanilla.objective:
         print(f"warning: generalized fit: objective = "
@@ -344,9 +361,7 @@ def cmd_compare(args) -> None:
               f"{_fmt(vanilla.objective, EXACT_DIGITS)}, which it nests", file=sys.stderr)
     manifest = _manifest("compare", args.scenario, seed=seed, data=args.data,
                          **_fit_settings(cfg), numpy=np.__version__)
-    write_csv(args.out, manifest,
-              ["model", "p", "q", "beta", "m", "objective", "r_squared",
-               "generations_run", "converged"], rows)
+    write_csv(args.out, manifest, ["model", *header], rows)
 
 
 # --- argument parsing -----------------------------------------------------
@@ -432,6 +447,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     start = time.perf_counter()
     try:
+        _check_out(args.out)
         args.func(args)
     except ValueError as exc:   # each input error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -112,12 +112,7 @@ def simulate(params: BassParams,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     years = range(start_year, start_year + horizon)
-    if premium_by_year is not None:
-        missing = [y for y in years if y not in premium_by_year.years]
-        if missing:
-            raise ValueError(f"premium series missing years {missing}")
-    dp3 = [0.0 if premium_by_year is None else premium_by_year.lifecycle(y)
-           for y in years]
+    dp3 = [0.0] * horizon if premium_by_year is None else premium_by_year.lifecycles(years)
     for year, premium in zip(years, dp3):
         if not math.isfinite(decision_coefficient(premium, params.beta)):
             raise ValueError(f"decision coefficient 1 + premium * beta is not finite "

@@ -138,12 +138,11 @@ class _FitProblem:
             raise FitError("no observations")
         years = obs.years
         sim_years = range(years[0], years[-1] + 1)
-        if premiums is not None:
-            missing = [y for y in sim_years if y not in premiums.years]
-            if missing:
-                raise FitError(f"premium series missing years {missing}")
-        self.dp3 = np.array([0.0 if premiums is None else premiums.lifecycle(y)
-                             for y in sim_years])
+        try:
+            self.dp3 = np.array([0.0] * len(sim_years) if premiums is None
+                                else premiums.lifecycles(sim_years))
+        except ValueError as exc:
+            raise FitError(str(exc)) from None
         self.fixed = {**({"beta": 0.0} if premiums is None else {}), **fixed}
         self.genes = tuple(g for g in ("p", "q", "beta", "m") if g not in self.fixed)
         self.columns = np.array([y - years[0] for y in years])
@@ -199,20 +198,19 @@ class _Draws:
     """One generation's fitness-independent draws, in the documented order.
 
     `fill` draws the tournament contenders, stored as (contender, slot,
-    child); one uniform block, from which the crossover flags become the
-    keep-parent-A mask and the mutation flags the mutate mask, while the
-    blend weights are read as drawn; and standard normal noise scaled by
-    each gene's sigma.
+    child); the crossover flags, kept as the keep-parent-A mask; the blend
+    weights; the mutation flags, kept as the mutate mask; and standard
+    normal noise scaled by each gene's sigma. A set holds only what
+    breeding reads: the flags' uniforms pass through the noise buffer,
+    and the contenders, each below the population size, are int32.
     """
 
     def __init__(self, rng: np.random.Generator, n_pop: int, sigma_rows: np.ndarray) -> None:
         n_children, n_genes = sigma_rows.shape
         self.rng, self.n_pop, self.sigma_rows = rng, n_pop, sigma_rows
-        self.cands = np.empty((3, 2, n_children), dtype=np.int64)
-        self.uniforms = np.empty(n_children * (1 + 2 * n_genes))
-        self.cx_u = self.uniforms[:n_children]
-        self.blend_u, self.mut_u = self.uniforms[n_children:].reshape(2, n_children, n_genes)
+        self.cands = np.empty((3, 2, n_children), np.int32 if n_pop <= 2**31 else np.int64)
         self.keep_a = np.empty((n_children, 1), dtype=bool)
+        self.blend_u = np.empty((n_children, n_genes))
         self.mutate = np.empty((n_children, n_genes), dtype=bool)
         self.noise = np.empty((n_children, n_genes))
 
@@ -220,9 +218,10 @@ class _Draws:
         n_children = len(self.noise)
         np.copyto(self.cands, self.rng.integers(0, self.n_pop, size=(n_children, 2, 3))
                   .transpose(2, 1, 0))
-        self.rng.random(out=self.uniforms)
-        np.greater_equal(self.cx_u, CROSSOVER_PROB, out=self.keep_a[:, 0])
-        np.less(self.mut_u, MUTATION_PROB, out=self.mutate)
+        cx_u = self.rng.random(out=self.noise.reshape(-1)[:n_children])
+        np.greater_equal(cx_u, CROSSOVER_PROB, out=self.keep_a[:, 0])
+        self.rng.random(out=self.blend_u)
+        np.less(self.rng.random(out=self.noise), MUTATION_PROB, out=self.mutate)
         self.rng.standard_normal(out=self.noise)
         self.noise *= self.sigma_rows
         return self

@@ -234,6 +234,13 @@ class PremiumSeries:
     def lifecycle(self, year: int) -> float:
         return self.point(year).lifecycle
 
+    def lifecycles(self, years: range) -> list[float]:
+        """The lifecycle premium of each year; the series must cover them all."""
+        missing = [y for y in years if y not in self.years]
+        if missing:
+            raise ValueError(f"premium series missing years {missing}")
+        return [self.lifecycle(y) for y in years]
+
 
 def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
     """The three premiums, both LCODs and both TCOs of one resolved scenario."""

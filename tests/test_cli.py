@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from greenpremium import config
+from greenpremium import config, fitting
 from greenpremium import trajectory as tj
 from greenpremium.cli import (CliError, load_params_csv, load_sales_csv, run)
 from greenpremium.fitting import r_squared
@@ -390,6 +390,37 @@ def test_exit_codes(tmp_path):
     assert run(["no-such-command"]) == 1
     assert run(["fit", "--data", "x", "--bogus-flag"]) == 1
     assert run(["--version"]) == 0
+
+
+def permission_denied(self, *args, **kwargs):
+    raise PermissionError(13, "Permission denied", str(self))
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--data", str(config.sample_sales_path()), "--seed", "0"],
+    ["premium-series"],
+], ids=["fit", "premium-series"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "unsearchable"])
+def test_unwritable_out_exits_1_naming_the_path_before_any_work(
+        tmp_path, capsys, monkeypatch, command, where):
+    fits = []
+    monkeypatch.setattr(fitting, "ga_fit", lambda *args: fits.append(args))
+    out = tmp_path / "no-such-dir" / "out.csv" if where == "missing-directory" else tmp_path
+    if where == "unsearchable":
+        # what Path.is_dir does on Python 3.10-3.12 below a directory without +x
+        monkeypatch.setattr(Path, "is_dir", permission_denied)
+        out = tmp_path / "locked" / "out.csv"
+    assert run([*command, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: --out {out}: " in err and "runtime error" not in err
+    assert fits == []     # the fit command stops before its GA
+
+
+def test_out_write_failure_exits_1_naming_the_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Path, "write_text", permission_denied)
+    out = tmp_path / "series.csv"
+    assert run(["premium-series", "--out", str(out)]) == 1
+    assert f"error: cannot write --out {out}: Permission denied" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")

@@ -139,6 +139,13 @@ def test_objective_requires_premiums_when_beta_nonzero():
         objective(params, obs, None, FitConfig())
 
 
+def test_objective_rejects_a_premium_series_one_year_short(long_range, china_sales):
+    short = tj.premium_series(long_range, range(2010, 2021))
+    params = BassParams(p=0.002, q=0.4, m=21000, beta=-1.0)
+    with pytest.raises(FitError, match=r"^premium series missing years \[2021\]$"):
+        objective(params, china_sales, short, FitConfig())
+
+
 def test_objective_penalises_negative_raw_flows():
     # strongly negative decision coefficient drives the raw flow negative
     params = BassParams(p=0.01, q=0.4, m=1000, beta=-2.0)
