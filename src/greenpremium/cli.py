@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import __version__, config
 from . import sensitivity as sn
@@ -100,6 +100,14 @@ def _check_out(out: str) -> None:
         raise CliError(f"--out {out}: {exc.strerror}") from None
 
 
+def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each line but blank and '#' comment ones, stripped, with its 1-based number."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def load_sales_csv(path: str) -> ObservationSeries:
     """Parse a `year,annual_sales` file; comment lines start with '#'.
 
@@ -114,10 +122,7 @@ def load_sales_csv(path: str) -> ObservationSeries:
     linenos: list[int] = []
     header_ok = False
     with p.open() as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _data_lines(f):
             if not header_ok:
                 cols = [c.strip() for c in line.split(",")]
                 if cols != ["year", "annual_sales"]:
@@ -148,8 +153,7 @@ def load_params_csv(path: str) -> BassParams:
     p = Path(path)
     if not p.exists():
         raise CliError(f"params file not found: {path}")
-    lines = [l for l in p.read_text().splitlines()
-             if l.strip() and not l.startswith("#")]
+    lines = [line for _, line in _data_lines(p.read_text().splitlines())]
     if len(lines) < 2:
         raise CliError(f"{path}: expected a header and one data row")
     if len(lines) > 2:

@@ -99,15 +99,22 @@ def load_schedule(ref: str) -> ScenarioSchedule:
         for key in step:
             if key not in ALL_FIELDS:
                 raise ScheduleError(f"interpolation.step: unknown schedule key {key!r}")
-        entries = tuple(
-            ScheduleEntry(year=integral(e["year"], "entry year"),
-                          overrides={k: v for k, v in e.items() if k != "year"})
-            for e in doc["entries"])
+        first, last = integral(span[0], "span"), integral(span[1], "span")
+        if first > last:
+            raise ScheduleError(f"span: first year {first} is after last year {last}")
+        entries = doc["entries"]
+        if not isinstance(entries, list):
+            raise ScheduleError(f"entries must be a list of mappings, got {entries!r}")
+        for i, e in enumerate(entries):
+            if not isinstance(e, dict):
+                raise ScheduleError(f"entries[{i}]: expected a mapping, got {e!r}")
         return ScenarioSchedule(
             name=str(doc["name"]),
             vehicle_class=str(doc.get("vehicle_class", doc["name"])),
-            span=(integral(span[0], "span"), integral(span[1], "span")),
-            entries=entries,
+            span=(first, last),
+            entries=tuple(ScheduleEntry(year=integral(e["year"], "entry year"),
+                                        overrides={k: v for k, v in e.items() if k != "year"})
+                          for e in entries),
             step_fields=frozenset(step) or DEFAULT_STEP_FIELDS,
             source=str(path),
         )

@@ -11,11 +11,9 @@ generator drawn in a fixed order, so a seed fully determines the result.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from time import perf_counter
 from types import MappingProxyType
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -227,72 +225,6 @@ class _Draws:
         return self
 
 
-# Populations from this size make each generation's draws one generation
-# ahead on a helper thread. Below it the handover costs more than the
-# overlap saves; see CHANGES.md for the sweep this value comes from.
-_AHEAD_MIN_POPULATION = 4096
-# After this many generations, a fitting thread that has spent more than this
-# share of its time waiting for the helper stops it and draws inline: on a
-# host whose second CPU is busy or stolen, the waits cost more than drawing.
-_AHEAD_JUDGED_AFTER = 10
-_AHEAD_MAX_WAIT_SHARE = 0.1
-
-
-class _DrawSource:
-    """Hands out each generation's draws, in generation order.
-
-    With `ahead`, a one-worker executor fills generation g+1's set while g
-    is in use. Only one thread draws from the generator at a time, always
-    the next generation, so the stream is the one inline drawing makes.
-    Two sets alternate: `next` waits for g's fill, which re-raises an error
-    of the helper, and only then submits g+1's fill into the other set, so
-    the helper draws at most one generation past the last one used. `close`
-    (also run on leaving a `with` block) shuts the executor down and drops
-    a fill no `next` asked for. `next` closes it early, with no fill pending,
-    once the fitting thread has waited too long for it
-    (`_AHEAD_MAX_WAIT_SHARE`); later sets are drawn inline.
-    """
-
-    def __init__(self, make_set: Callable[[], _Draws], generations: int,
-                 ahead: bool) -> None:
-        self.sets = (make_set(), make_set()) if ahead else (make_set(),)
-        self.generations = generations
-        self.taken = 0
-        self.executor: ThreadPoolExecutor | None = None
-        self.pending: Future | None = None
-        if ahead:
-            self.executor = ThreadPoolExecutor(1, thread_name_prefix="ga-draws")
-            self.waited, self.started = 0.0, perf_counter()
-            self.pending = self.executor.submit(self.sets[0].fill)
-
-    def next(self) -> _Draws:
-        draws = self.sets[self.taken % len(self.sets)]
-        self.taken += 1
-        if self.pending is None:
-            return draws.fill()
-        start = perf_counter()
-        self.pending.result()
-        self.waited += perf_counter() - start
-        self.pending = None
-        if (self.taken >= _AHEAD_JUDGED_AFTER
-                and self.waited > _AHEAD_MAX_WAIT_SHARE * (perf_counter() - self.started)):
-            self.close()
-        elif self.executor is not None and self.taken < self.generations:
-            self.pending = self.executor.submit(self.sets[self.taken % 2].fill)
-        return draws
-
-    def __enter__(self) -> _DrawSource:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(cancel_futures=True)
-            self.executor = None
-
-
 def _breed(pop: np.ndarray, fitness: np.ndarray, draws: _Draws, children: np.ndarray,
            lo_rows: np.ndarray, hi_rows: np.ndarray) -> None:
     """Fill `children` from `pop` with one generation's draws."""
@@ -351,18 +283,16 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     history: list[float] = []
     stale = 0
     converged = False
-    source = _DrawSource(lambda: _Draws(rng, n_pop, sigma_rows), cfg.max_generations,
-                         ahead=n_pop >= _AHEAD_MIN_POPULATION and cfg.max_generations > 0)
-    # Leaving the block joins the helper. A genome whose squared error
-    # overflows scores inf and loses every tournament.
-    with source, np.errstate(over="ignore"):
+    draws = _Draws(rng, n_pop, sigma_rows)
+    # A genome whose squared error overflows scores inf and loses every tournament.
+    with np.errstate(over="ignore"):
         fitness = problem.evaluate(pop)
         best_obj = float(np.min(fitness))
         for _ in range(cfg.max_generations):
             order = int(np.argmin(fitness))
             next_pop[0] = pop[order]
             next_fitness[0] = fitness[order]
-            _breed(pop, fitness, source.next(), next_pop[1:], lo_rows, hi_rows)
+            _breed(pop, fitness, draws.fill(), next_pop[1:], lo_rows, hi_rows)
 
             # Rows evaluate independently, so the elite keeps its fitness.
             next_fitness[1:] = problem.evaluate(next_pop[1:])
@@ -378,8 +308,9 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
                 break
 
     if not math.isfinite(best_obj):
-        raise FitError("degenerate fit: no genome has a finite objective; sales this "
-                       "large overflow the squared error (sales are in thousand vehicles)")
+        raise FitError("degenerate fit: no genome has a finite objective; the squared "
+                       "error overflows, and the sales (in thousand vehicles), m_value "
+                       "and late_weight scale it")
     params = problem.params(pop[int(np.argmin(fitness))])
     # Clamping puts a gene exactly on its bound, so == finds it.
     at_bounds = tuple((g, "lower" if getattr(params, g) == DEFAULT_BOUNDS[g][0] else "upper")

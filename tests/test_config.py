@@ -163,11 +163,15 @@ def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory)
      "entry 2023: ev_tax_exempt: expected true or false, got 7"),
     ("battery_capacity: 75", "battery_capacity: true",
      "entry 2010: battery_capacity: expected a number, got True"),
+    ("entries:\n", "entries: {a: 1}\nunused:\n", r"entries must be a list of mappings, got \{'a': 1\}"),
+    ("entries:\n", "entries: 5\nunused:\n", "entries must be a list of mappings, got 5"),
+    ("entries:\n", "entries: [5]\nunused:\n", r"entries\[0\]: expected a mapping, got 5"),
+    ("span: [2010, 2030]", "span: [2030, 2010]", "span: first year 2030 is after last year 2010"),
 ], ids=["span-one-year", "span-scalar", "year-inf", "year-nan", "interpolation-null",
         "discount-rate-huge", "lifecycle-years-huge", "step-misspelt-key", "step-string",
         "lifecycle-years-fraction", "lifecycle-years-bool", "year-fraction", "span-fraction",
         "span-text", "battery-replacements-fraction", "flag-fraction", "flag-integer",
-        "number-bool"])
+        "number-bool", "entries-mapping", "entries-scalar", "entry-scalar", "span-reversed"])
 def test_malformed_scenario_exits_1_naming_the_file(tmp_path, capsys, old, new, message):
     text = config.scenario_path("long-range").read_text()
     assert old in text

@@ -412,11 +412,10 @@ def test_reference_cases_take_both_stop_paths(long_range, china_sales):
     assert max(runs) == REFERENCE_GENERATIONS
 
 
-def assert_ga_fit_matches_reference(long_range, china_sales, model, population, seed):
-    premiums, cfg = reference_case(long_range, model, population, seed)
+def assert_ga_fit_matches_reference(china_sales, premiums, cfg):
     threads = threading.active_count()
     result = ga_fit(china_sales, premiums, cfg)
-    assert threading.active_count() == threads
+    assert threading.active_count() == threads      # a fit starts no thread
     got = (result.params, result.objective, result.history,
            result.generations_run, result.at_bounds)
     assert got == reference_ga_fit(china_sales, premiums, cfg)
@@ -429,123 +428,23 @@ def test_ga_fit_matches_plain_reference_bitwise(long_range, china_sales,
                                                 model, population, seed):
     """Every draw, selection and rounding of the GA matches the plain
     reference. One-child populations catch a year sum that turned pairwise."""
-    assert_ga_fit_matches_reference(long_range, china_sales, model, population, seed)
+    assert_ga_fit_matches_reference(
+        china_sales, *reference_case(long_range, model, population, seed))
 
 
-@pytest.mark.parametrize("late", [False, True], ids=["ahead", "late-helper"])
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("population", REFERENCE_POPULATIONS)
-@pytest.mark.parametrize("model", REFERENCE_MODELS)
-def test_ga_fit_drawing_ahead_matches_plain_reference_bitwise(
-        long_range, china_sales, monkeypatch, model, population, seed, late):
-    """With every population drawing ahead on the helper thread, the stream,
-    and so every result, is the one the plain reference draws inline; also
-    when the helper is judged late after three generations and the rest
-    of the fit draws inline."""
-    monkeypatch.setattr(fitting, "_AHEAD_MIN_POPULATION", 0)
-    if late:
-        monkeypatch.setattr(fitting, "_AHEAD_JUDGED_AFTER", 3)
-        monkeypatch.setattr(fitting, "_AHEAD_MAX_WAIT_SHARE", -1.0)
-    assert_ga_fit_matches_reference(long_range, china_sales, model, population, seed)
-
-
-def test_ga_fit_stops_a_late_helper_and_draws_inline(china_sales, monkeypatch):
-    cfg = FitConfig(population_size=60, max_generations=12, early_stop=False)
-    inline = ga_fit(china_sales, None, cfg)
-    monkeypatch.setattr(fitting, "_AHEAD_MIN_POPULATION", 0)
-    monkeypatch.setattr(fitting, "_AHEAD_JUDGED_AFTER", 5)
-    monkeypatch.setattr(fitting, "_AHEAD_MAX_WAIT_SHARE", -1.0)
-    evaluate = fitting._FitProblem.evaluate
-    threads = []
-
-    def counting(self, genomes):
-        threads.append(threading.active_count())
-        return evaluate(self, genomes)
-
-    monkeypatch.setattr(fitting._FitProblem, "evaluate", counting)
-    before = threading.active_count()
-    assert ga_fit(china_sales, None, cfg) == inline
-    # the initial population and generations 1-4 ran beside the helper
-    assert threads == [before + 1] * 5 + [before] * 8
-
-
-def test_ga_fit_just_above_the_ahead_threshold_matches_inline(long_range, china_sales,
-                                                             monkeypatch):
+def test_ga_fit_wide_population_matches_plain_reference_bitwise(long_range, china_sales):
+    """A population the size of the wide benchmark fit is pinned too."""
     premiums = tj.premium_series(long_range, range(2010, 2022))
-    cfg = FitConfig(rng_seed=5, population_size=fitting._AHEAD_MIN_POPULATION + 1,
-                    max_generations=4)
-    threads = threading.active_count()
-    ahead = ga_fit(china_sales, premiums, cfg)
-    assert threading.active_count() == threads
-    monkeypatch.setattr(fitting, "_AHEAD_MIN_POPULATION", cfg.population_size + 1)
-    assert ahead == ga_fit(china_sales, premiums, cfg)
+    cfg = FitConfig(rng_seed=5, population_size=6400, max_generations=4)
+    assert_ga_fit_matches_reference(china_sales, premiums, cfg)
 
 
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-@pytest.mark.parametrize("fail_at", [1, 2, 5])
-def test_ga_fit_leaves_no_thread_behind_when_evaluation_raises(
-        china_sales, monkeypatch, error, fail_at):
-    """The helper is stopped and joined whether the fit fails in the initial
-    evaluation, in its first generation or later."""
-    monkeypatch.setattr(fitting, "_AHEAD_MIN_POPULATION", 0)
-    evaluate = fitting._FitProblem.evaluate
-    seen = []
-
-    def failing(self, genomes):
-        seen.append(threading.active_count())
-        if len(seen) == fail_at:
-            raise error("stop")
-        return evaluate(self, genomes)
-
-    monkeypatch.setattr(fitting._FitProblem, "evaluate", failing)
-    threads = threading.active_count()
-    with pytest.raises(error, match="stop"):
-        ga_fit(china_sales, None, FitConfig(population_size=40, max_generations=50))
-    assert seen[0] == threads + 1       # the helper was running
-    assert threading.active_count() == threads
-
-
-def test_ga_fit_raises_an_error_of_the_helper_thread(china_sales, monkeypatch):
-    monkeypatch.setattr(fitting, "_AHEAD_MIN_POPULATION", 0)
-    fill = fitting._Draws.fill
-    calls = []
-
-    def failing(self):
-        calls.append(threading.current_thread())
-        if len(calls) == 3:
-            raise MemoryError("no room for draws")
-        return fill(self)
-
-    monkeypatch.setattr(fitting._Draws, "fill", failing)
-    threads = threading.active_count()
-    # The failed fill is the last generation's, which no later call would catch.
-    with pytest.raises(MemoryError, match="no room"):
-        ga_fit(china_sales, None, FitConfig(population_size=40, max_generations=3))
-    assert threading.current_thread() not in calls
-    assert threading.active_count() == threads
-
-
-def test_draw_source_raises_a_helper_error_after_stopping_it():
-    """A set the helper failed to fill is never handed out, not even when
-    the helper is stopped before the set is asked for."""
-    class Failing:
-        def fill(self):
-            raise MemoryError("no room for draws")
-
-    source = fitting._DrawSource(Failing, generations=5, ahead=True)
-    assert isinstance(source.pending.exception(timeout=10), MemoryError)
-    source.close()
-    with pytest.raises(MemoryError, match="no room"):
-        source.next()
-
-
-def test_ga_fit_drawing_ahead_stays_bitwise_under_thread_stress(china_sales, monkeypatch):
-    """Three fits at once, each with its own helper (six threads on fewer
-    cores) and a switch interval of a microsecond, give the inline results."""
+def test_concurrent_ga_fits_share_no_state(china_sales):
+    """Three fits at once in caller threads, at a switch interval of a
+    microsecond, give the results each gives alone."""
     cfgs = [FitConfig(rng_seed=seed, population_size=60, max_generations=40,
                       early_stop=False) for seed in range(3)]
     expected = [ga_fit(china_sales, None, cfg) for cfg in cfgs]
-    monkeypatch.setattr(fitting, "_AHEAD_MIN_POPULATION", 0)
     got = [None] * len(cfgs)
 
     def fit(i):
