@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from . import __version__, config
 from . import sensitivity as sn
@@ -100,12 +100,11 @@ def _check_out(out: str) -> None:
         raise CliError(f"--out {out}: {exc.strerror}") from None
 
 
-def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Each line but blank and '#' comment ones, stripped, with its 1-based number."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """An input file's lines but blank and '#' comment ones, stripped, numbered from 1."""
+    text = config.read_input(path, what)
+    return [(lineno, line) for lineno, raw in enumerate(text.split("\n"), start=1)
+            if (line := raw.strip()) and not line.startswith("#")]
 
 
 def load_sales_csv(path: str) -> ObservationSeries:
@@ -115,52 +114,38 @@ def load_sales_csv(path: str) -> ObservationSeries:
     here at the line of the offending row.
     """
     from .fitting import ObservationError, ObservationSeries
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"sales file not found: {path}")
-    points: list[tuple[int, float]] = []
-    linenos: list[int] = []
-    header_ok = False
-    with p.open() as f:
-        for lineno, line in _data_lines(f):
-            if not header_ok:
-                cols = [c.strip() for c in line.split(",")]
-                if cols != ["year", "annual_sales"]:
-                    raise CliError(
-                        f"{path}:{lineno}: expected header 'year,annual_sales'")
-                header_ok = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise CliError(f"{path}:{lineno}: expected two fields")
-            try:
-                points.append((int(parts[0]), float(parts[1])))
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: malformed row {line!r}") from None
-            linenos.append(lineno)
-    if not header_ok or not points:
+    lines = _data_lines(path, "sales")
+    if lines and [c.strip() for c in lines[0][1].split(",")] != ["year", "annual_sales"]:
+        raise CliError(f"{path}:{lines[0][0]}: expected header 'year,annual_sales'")
+    rows = lines[1:]
+    if not rows:
         raise CliError(f"{path}: no data rows")
+    points: list[tuple[int, float]] = []
+    for lineno, line in rows:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise CliError(f"{path}:{lineno}: expected two fields")
+        try:
+            points.append((int(parts[0]), float(parts[1])))
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: malformed row {line!r}") from None
     try:
         return ObservationSeries(tuple(points))
     except ObservationError as exc:
-        first = "" if exc.first is None else f" (first at line {linenos[exc.first]})"
-        raise CliError(f"{path}:{linenos[exc.index]}: {exc.reason}{first}") from None
+        first = "" if exc.first is None else f" (first at line {rows[exc.first][0]})"
+        raise CliError(f"{path}:{rows[exc.index][0]}: {exc.reason}{first}") from None
 
 
 def load_params_csv(path: str) -> BassParams:
     """Read fitted parameters back from a `fit` output file."""
     from .diffusion import BassParams
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"params file not found: {path}")
-    lines = [line for _, line in _data_lines(p.read_text().splitlines())]
+    lines = [line for _, line in _data_lines(path, "params")]
     if len(lines) < 2:
         raise CliError(f"{path}: expected a header and one data row")
     if len(lines) > 2:
         raise CliError(f"{path}: expected one data row, found {len(lines) - 1}; "
                        "pass a single-row `fit` output")
-    reader = csv.DictReader(lines)
-    row = next(iter(reader))
+    row = next(csv.DictReader(lines))
     try:
         return BassParams(p=float(row["p"]), q=float(row["q"]),
                           m=float(row["m"]), beta=float(row["beta"]))
@@ -197,16 +182,10 @@ def _resolve_seed(args) -> int:
 
 def _fit_config(args, seed: int) -> FitConfig:
     from .fitting import FitConfig
-    kwargs = dict(rng_seed=seed, m_value=args.m_value)
-    if args.population is not None:
-        kwargs["population_size"] = args.population
-    if args.generations is not None:
-        kwargs["max_generations"] = args.generations
-    if args.late_weight is not None:
-        kwargs["late_weight"] = args.late_weight
-    if getattr(args, "no_early_stop", False):
-        kwargs["early_stop"] = False
-    return FitConfig(**kwargs)
+    chosen = dict(population_size=args.population, max_generations=args.generations,
+                  late_weight=args.late_weight)
+    return FitConfig(rng_seed=seed, m_value=args.m_value, early_stop=not args.no_early_stop,
+                     **{k: v for k, v in chosen.items() if v is not None})
 
 
 def _fit_settings(cfg: FitConfig) -> dict[str, object]:

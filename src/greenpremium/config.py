@@ -1,4 +1,4 @@
-"""Scenario configuration files.
+"""Scenario configuration files, and the one reader of every input file.
 
 Scenarios are YAML documents whose keys mirror the scenario field names
 one-to-one. Built-in scenarios ship with the package; additional config
@@ -28,7 +28,19 @@ _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
-    """Unreadable or structurally invalid scenario file."""
+    """An input file that cannot be read, or a structurally invalid scenario file."""
+
+
+def read_input(path: str | Path, what: str) -> str:
+    """An input file's text, as UTF-8 with any leading byte-order mark dropped
+    and universal newlines; `what` ("sales", ...) names the file in errors."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:    # a directory, no permission, not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read {what} file: {reason}") from None
 
 
 def _builtin_path(name: str) -> Path | None:
@@ -80,7 +92,7 @@ def _unique_keys(loader: type) -> type:
 def load_schedule(ref: str) -> ScenarioSchedule:
     path = scenario_path(ref)
     try:
-        doc = yaml.load(path.read_text(), Loader=_unique_keys(_Loader))
+        doc = yaml.load(read_input(path, "scenario"), Loader=_unique_keys(_Loader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     if not isinstance(doc, dict):
@@ -105,16 +117,22 @@ def load_schedule(ref: str) -> ScenarioSchedule:
         entries = doc["entries"]
         if not isinstance(entries, list):
             raise ScheduleError(f"entries must be a list of mappings, got {entries!r}")
+        built = []
         for i, e in enumerate(entries):
             if not isinstance(e, dict):
                 raise ScheduleError(f"entries[{i}]: expected a mapping, got {e!r}")
+            if "year" not in e:
+                raise ScheduleError(f"entries[{i}]: missing key 'year'")
+            built.append(ScheduleEntry(year=integral(e["year"], "entry year"),
+                                       overrides={k: v for k, v in e.items() if k != "year"}))
+        for key in ("name", "vehicle_class"):
+            if not isinstance(doc.get(key, ""), str):
+                raise ScheduleError(f"{key}: expected a string, got {doc[key]!r}")
         return ScenarioSchedule(
-            name=str(doc["name"]),
-            vehicle_class=str(doc.get("vehicle_class", doc["name"])),
+            name=doc["name"],
+            vehicle_class=doc.get("vehicle_class", doc["name"]),
             span=(first, last),
-            entries=tuple(ScheduleEntry(year=integral(e["year"], "entry year"),
-                                        overrides={k: v for k, v in e.items() if k != "year"})
-                          for e in entries),
+            entries=tuple(built),
             step_fields=frozenset(step) or DEFAULT_STEP_FIELDS,
             source=str(path),
         )

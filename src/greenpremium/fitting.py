@@ -79,6 +79,8 @@ PENALTY_WEIGHT = 1e4            # per squared negative pre-clamp flow
 # that lower the best objective by no more than STAGNATION_TOL.
 STAGNATION_TOL = 1e-10
 STAGNATION_PATIENCE = 50
+# First to last observed year, inclusive; at 800 genomes a 12.8 MB flow block.
+MAX_WINDOW_YEARS = 1000
 DEFAULT_BOUNDS: Mapping[str, tuple[float, float]] = MappingProxyType({
     "p": (1e-4, 0.02),
     "q": (0.05, 0.8),
@@ -136,6 +138,9 @@ class _FitProblem:
             raise FitError("no observations")
         years = obs.years
         sim_years = range(years[0], years[-1] + 1)
+        if len(sim_years) > MAX_WINDOW_YEARS:
+            raise FitError(f"observations span {years[0]} to {years[-1]}, more than "
+                           f"the {MAX_WINDOW_YEARS} years a fit may simulate")
         try:
             self.dp3 = np.array([0.0] * len(sim_years) if premiums is None
                                 else premiums.lifecycles(sim_years))

@@ -223,13 +223,9 @@ class PremiumSeries:
         return range(self.points[0].year, self.points[0].year + len(self.points))
 
     def point(self, year: int) -> PremiumPoint:
-        try:
-            p = self.points[year - self.points[0].year]
-        except IndexError:
-            raise KeyError(f"year {year} not in premium series") from None
-        if p.year != year:
+        if year not in self.years:
             raise KeyError(f"year {year} not in premium series")
-        return p
+        return self.points[year - self.years.start]
 
     def lifecycle(self, year: int) -> float:
         return self.point(year).lifecycle

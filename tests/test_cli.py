@@ -350,6 +350,36 @@ def test_forecast_skips_an_indented_comment_in_the_params_file(tmp_path):
     assert noted.read_bytes() == plain.read_bytes()
 
 
+def test_sales_and_params_files_with_a_byte_order_mark_load_as_the_plain_files(tmp_path):
+    sales = config.sample_sales_path()
+    marked = tmp_path / "sales.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + sales.read_bytes())
+    assert load_sales_csv(str(marked)) == load_sales_csv(str(sales))
+    params = run_to_file(tmp_path, "fit.csv", ["fit", "--data", str(sales), "--seed", "0",
+                                               "--population", "20", "--generations", "3"])
+    # a spreadsheet's re-save: the comment lines gone, a mark before the header
+    plain = tmp_path / "plain.csv"
+    plain.write_text("".join(l for l in params.read_text().splitlines(True)
+                             if not l.startswith("#")))
+    marked = tmp_path / "params.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_params_csv(str(marked)) == load_params_csv(str(params))
+
+
+def test_vanilla_fit_refuses_a_window_it_cannot_simulate(tmp_path, capsys, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(fitting._FitProblem, "evaluate", lambda self, g: evaluated.append(g))
+    text = config.sample_sales_path().read_text()
+    assert "\n2021," in text
+    typo = tmp_path / "typo.csv"
+    typo.write_text(text.replace("\n2021,", "\n20210,"))
+    out = tmp_path / "fit.csv"
+    assert run(["fit", "--vanilla", "--data", str(typo), "--seed", "0", "--out", str(out)]) == 1
+    assert ("error: observations span 2010 to 20210, more than the "
+            f"{fitting.MAX_WINDOW_YEARS} years a fit may simulate") in capsys.readouterr().err
+    assert evaluated == [] and not out.exists()
+
+
 def test_tco_prices_each_vehicle_once(tmp_path, monkeypatch):
     from greenpremium import costmodel as cm
     calls = []
@@ -410,6 +440,27 @@ def test_unwritable_out_exits_1_naming_the_path_before_any_work(
     err = capsys.readouterr().err
     assert f"error: --out {out}: " in err and "runtime error" not in err
     assert fits == []     # the fit command stops before its GA
+
+
+@pytest.mark.parametrize("option, command", [
+    ("--data", ["fit", "--seed", "0"]),
+    ("--params", ["forecast"]),
+    ("--scenario", ["tco"]),
+], ids=["data", "params", "scenario"])
+@pytest.mark.parametrize("fault", ["directory", "permission-denied"])
+def test_unreadable_input_exits_1_naming_the_path(
+        tmp_path, capsys, monkeypatch, option, command, fault):
+    path = tmp_path / "input.yaml"     # a YAML name, which --scenario takes as a path
+    if fault == "directory":
+        path.mkdir()
+    else:
+        path.write_text("")
+        monkeypatch.setattr(Path, "read_text", permission_denied)
+    out = tmp_path / "out.csv"
+    assert run([*command, option, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: cannot read " in err and "runtime error" not in err
+    assert not out.exists()
 
 
 def test_out_write_failure_exits_1_naming_the_path(tmp_path, capsys, monkeypatch):

@@ -167,11 +167,16 @@ def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory)
     ("entries:\n", "entries: 5\nunused:\n", "entries must be a list of mappings, got 5"),
     ("entries:\n", "entries: [5]\nunused:\n", r"entries\[0\]: expected a mapping, got 5"),
     ("span: [2010, 2030]", "span: [2030, 2010]", "span: first year 2030 is after last year 2010"),
+    ("  - year: 2010\n", "  - yeer: 2010\n", r"bad\.yaml: entries\[0\]: missing key 'year'$"),
+    ("name: long-range", "name: [a, b]", r"bad\.yaml: name: expected a string, got \['a', 'b'\]$"),
+    ("vehicle_class: long-range", "vehicle_class: 7",
+     r"bad\.yaml: vehicle_class: expected a string, got 7$"),
 ], ids=["span-one-year", "span-scalar", "year-inf", "year-nan", "interpolation-null",
         "discount-rate-huge", "lifecycle-years-huge", "step-misspelt-key", "step-string",
         "lifecycle-years-fraction", "lifecycle-years-bool", "year-fraction", "span-fraction",
         "span-text", "battery-replacements-fraction", "flag-fraction", "flag-integer",
-        "number-bool", "entries-mapping", "entries-scalar", "entry-scalar", "span-reversed"])
+        "number-bool", "entries-mapping", "entries-scalar", "entry-scalar", "span-reversed",
+        "entry-without-year", "name-list", "vehicle-class-number"])
 def test_malformed_scenario_exits_1_naming_the_file(tmp_path, capsys, old, new, message):
     text = config.scenario_path("long-range").read_text()
     assert old in text

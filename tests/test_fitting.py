@@ -9,10 +9,10 @@ from greenpremium import fitting
 from greenpremium import trajectory as tj
 from greenpremium.diffusion import BassParams, decision_coefficient, simulate
 from greenpremium.fitting import (CROSSOVER_PROB, DEFAULT_BOUNDS, LATE_WEIGHT_FROM_YEAR,
-                                  MUTATION_PROB, PENALTY_WEIGHT, STAGNATION_PATIENCE,
-                                  STAGNATION_TOL, FitConfig, FitError, ObservationError,
-                                  ObservationSeries, compare_models, ga_fit, objective,
-                                  predictions, r_squared)
+                                  MAX_WINDOW_YEARS, MUTATION_PROB, PENALTY_WEIGHT,
+                                  STAGNATION_PATIENCE, STAGNATION_TOL, FitConfig, FitError,
+                                  ObservationError, ObservationSeries, compare_models, ga_fit,
+                                  objective, predictions, r_squared)
 
 
 def flat_series(years, lifecycle):
@@ -144,6 +144,17 @@ def test_objective_rejects_a_premium_series_one_year_short(long_range, china_sal
     params = BassParams(p=0.002, q=0.4, m=21000, beta=-1.0)
     with pytest.raises(FitError, match=r"^premium series missing years \[2021\]$"):
         objective(params, china_sales, short, FitConfig())
+
+
+def test_objective_rejects_a_window_longer_than_the_limit():
+    params = BassParams(p=0.002, q=0.4, m=21000)
+    widest = ObservationSeries(((2000, 1.0), (2000 + MAX_WINDOW_YEARS - 1, 2.0)))
+    assert math.isfinite(objective(params, widest, None, FitConfig()))
+    wider = ObservationSeries(((2000, 1.0), (2000 + MAX_WINDOW_YEARS, 2.0)))
+    message = (f"observations span 2000 to {2000 + MAX_WINDOW_YEARS}, more than the "
+               f"{MAX_WINDOW_YEARS} years a fit may simulate")
+    with pytest.raises(FitError, match=f"^{message}$"):
+        objective(params, wider, None, FitConfig())
 
 
 def test_objective_penalises_negative_raw_flows():
