@@ -102,7 +102,7 @@ def _check_out(out: str) -> None:
 
 def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
     """An input file's lines but blank and '#' comment ones, stripped, numbered from 1."""
-    text = config.read_input(path, what)
+    text, _ = config.read_input(path, what)
     return [(lineno, line) for lineno, raw in enumerate(text.split("\n"), start=1)
             if (line := raw.strip()) and not line.startswith("#")]
 
@@ -153,12 +153,13 @@ def load_params_csv(path: str) -> BassParams:
         raise CliError(f"{path}: not a fitted-parameters file ({exc})") from exc
 
 
-def _manifest(command: str, scenario: str | None, seed: int | None = None,
-              **extra) -> RunManifest:
+def _manifest(command: str, scenario: str, sched: tj.ScenarioSchedule | None,
+              seed: int | None = None, **extra) -> RunManifest:
+    """`sched` was loaded from `scenario`; a command that loads none names none."""
     return RunManifest(
         command=command,
-        config_ref=scenario,
-        config_digest=config.schedule_digest(scenario) if scenario else None,
+        config_ref=scenario if sched else None,
+        config_digest=sched.digest if sched else None,
         seed=seed,
         extra=tuple((k, str(v)) for k, v in extra.items()),
     )
@@ -230,7 +231,7 @@ def cmd_tco(args) -> None:
         ["acquisition_premium", _fmt(point.acquisition)],
         ["lifecycle_premium", _fmt(point.lifecycle)],
     ]
-    manifest = _manifest("tco", args.scenario, year=args.year,
+    manifest = _manifest("tco", args.scenario, sched, year=args.year,
                          units="RMB; lcod in RMB/km; premiums are fractions")
     write_csv(args.out, manifest, ["quantity", "value"], rows)
 
@@ -241,7 +242,7 @@ def cmd_premium_series(args) -> None:
     rows = [[str(p.year), _fmt(p.production), _fmt(p.acquisition),
              _fmt(p.lifecycle), _fmt(p.lcod_ev), _fmt(p.lcod_icev)]
             for p in series.points]
-    manifest = _manifest("premium-series", args.scenario,
+    manifest = _manifest("premium-series", args.scenario, sched,
                          units="premiums are fractions; lcod in RMB/km")
     write_csv(args.out, manifest,
               ["year", "production_premium", "acquisition_premium",
@@ -254,31 +255,30 @@ def cmd_parity(args) -> None:
     years = (tj.parity_years(series) if args.which == "all"
              else {args.which: tj.parity_year(series, args.which)})
     rows = [[kind, "none" if year is None else str(year)] for kind, year in years.items()]
-    manifest = _manifest("parity", args.scenario)
+    manifest = _manifest("parity", args.scenario, sched)
     write_csv(args.out, manifest, ["premium", "parity_year"], rows)
 
 
-def _sales_and_premiums(args, with_premiums: bool = True
-                        ) -> tuple[ObservationSeries, tj.PremiumSeries | None]:
-    """The sales file, and the scenario's premium series over its years."""
+def _sales_and_premiums(args, with_premiums: bool = True) -> tuple[
+        ObservationSeries, tj.ScenarioSchedule | None, tj.PremiumSeries | None]:
+    """The sales file, the scenario, and its premium series over the sales years."""
     obs = load_sales_csv(args.data)
     if not with_premiums:
-        return obs, None
+        return obs, None, None
     sched = config.load_schedule(args.scenario)
-    return obs, tj.premium_series(sched, range(obs.years[0], obs.years[-1] + 1))
+    return obs, sched, tj.premium_series(sched, range(obs.years[0], obs.years[-1] + 1))
 
 
 def cmd_fit(args) -> None:
     import numpy as np
     from .fitting import ga_fit
-    obs, premiums = _sales_and_premiums(args, with_premiums=not args.vanilla)
+    obs, sched, premiums = _sales_and_premiums(args, with_premiums=not args.vanilla)
     seed = _resolve_seed(args)
     cfg = _fit_config(args, seed)
     result = ga_fit(obs, premiums, cfg)
     _report_bounds("vanilla" if args.vanilla else "generalized", result)
     header, rows = _fit_rows(result)
-    # A vanilla fit reads no scenario, so its manifest names none.
-    manifest = _manifest("fit", None if args.vanilla else args.scenario, seed=seed,
+    manifest = _manifest("fit", args.scenario, sched, seed=seed,
                          model="vanilla" if args.vanilla else "generalized",
                          data=args.data, **_fit_settings(cfg), numpy=np.__version__)
     write_csv(args.out, manifest, header, rows)
@@ -302,7 +302,7 @@ def cmd_forecast(args) -> None:
                      _fmt(s.cumulative + s.new_adopters, EXACT_DIGITS),
                      _fmt(dp3, EXACT_DIGITS),
                      _fmt(decision_coefficient(dp3, params.beta), EXACT_DIGITS)])
-    manifest = _manifest("forecast", args.scenario, params_file=args.params,
+    manifest = _manifest("forecast", args.scenario, sched, params_file=args.params,
                          units="sales in thousand vehicles")
     write_csv(args.out, manifest,
               ["year", "predicted_annual", "predicted_cumulative",
@@ -320,7 +320,7 @@ def cmd_sensitivity(args) -> None:
     extra = {"target": args.target, "year": args.year}
     for fid, msg in errors.items():
         extra[f"skipped_{fid}"] = msg
-    manifest = _manifest("sensitivity", args.scenario, **extra)
+    manifest = _manifest("sensitivity", args.scenario, sched, **extra)
     write_csv(args.out, manifest,
               ["factor", "group", "base", "change_-20%", "change_-10%",
                "change_+10%", "change_+20%", "coefficient"], rows)
@@ -329,7 +329,7 @@ def cmd_sensitivity(args) -> None:
 def cmd_compare(args) -> None:
     import numpy as np
     from .fitting import compare_models
-    obs, premiums = _sales_and_premiums(args)
+    obs, sched, premiums = _sales_and_premiums(args)
     seed = _resolve_seed(args)
     cfg = _fit_config(args, seed)
     vanilla, generalized = compare_models(obs, premiums, cfg)
@@ -342,7 +342,7 @@ def cmd_compare(args) -> None:
         print(f"warning: generalized fit: objective = "
               f"{_fmt(generalized.objective, EXACT_DIGITS)} is above the vanilla fit's "
               f"{_fmt(vanilla.objective, EXACT_DIGITS)}, which it nests", file=sys.stderr)
-    manifest = _manifest("compare", args.scenario, seed=seed, data=args.data,
+    manifest = _manifest("compare", args.scenario, sched, seed=seed, data=args.data,
                          **_fit_settings(cfg), numpy=np.__version__)
     write_csv(args.out, manifest, ["model", *header], rows)
 

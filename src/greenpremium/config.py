@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-from importlib import resources
 from pathlib import Path
 
 import yaml
@@ -21,6 +20,7 @@ from .trajectory import (ALL_FIELDS, DEFAULT_STEP_FIELDS, ScenarioSchedule,
 
 CONFIG_DIR_ENV = "GREENPREMIUM_CONFIG_DIR"
 BUILTIN_SCENARIOS = ("long-range", "short-range")
+DATA_DIR = Path(__file__).with_name("data")     # built-in scenarios and the sample sales
 
 # libyaml's parser feeds the same SafeConstructor and resolver as the
 # pure-Python one, so both build the same documents; only the speed differs.
@@ -31,11 +31,13 @@ class ConfigError(ValueError):
     """An input file that cannot be read, or a structurally invalid scenario file."""
 
 
-def read_input(path: str | Path, what: str) -> str:
+def read_input(path: str | Path, what: str) -> tuple[str, bytes]:
     """An input file's text, as UTF-8 with any leading byte-order mark dropped
-    and universal newlines; `what` ("sales", ...) names the file in errors."""
+    and universal newlines, and the bytes it was decoded from; `what`
+    ("sales", ...) names the file in errors."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        data = Path(path).read_bytes()
+        return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n"), data
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:    # a directory, no permission, not UTF-8
@@ -43,28 +45,21 @@ def read_input(path: str | Path, what: str) -> str:
         raise ConfigError(f"{path}: cannot read {what} file: {reason}") from None
 
 
-def _builtin_path(name: str) -> Path | None:
-    filename = name.replace("-", "_") + ".yaml"
-    ref = resources.files("greenpremium.data") / filename
-    return Path(str(ref)) if ref.is_file() else None
-
-
 def scenario_path(ref: str) -> Path:
-    """Resolve a scenario reference: file path, config-dir name, or built-in."""
+    """Resolve a scenario reference: an existing or .yaml/.yml path, else
+    <ref>.yaml and then <ref with - as _>.yaml in $GREENPREMIUM_CONFIG_DIR,
+    else a built-in. The probes are os.path ones, which return False where
+    pathlib raises (a directory that cannot be searched); read_input reports
+    a path that cannot be read."""
     p = Path(ref)
-    if p.suffix in (".yaml", ".yml") or p.exists():
-        if not p.exists():
-            raise ConfigError(f"scenario file not found: {ref}")
+    if p.suffix in (".yaml", ".yml") or os.path.exists(p):
         return p
     config_dir = os.environ.get(CONFIG_DIR_ENV)
-    if config_dir:
-        for candidate in (Path(config_dir) / f"{ref}.yaml",
-                          Path(config_dir) / f"{ref.replace('-', '_')}.yaml"):
-            if candidate.exists():
-                return candidate
-    builtin = _builtin_path(ref)
-    if builtin is not None:
-        return builtin
+    names = (f"{ref}.yaml", f"{ref.replace('-', '_')}.yaml")
+    candidates = [Path(config_dir) / name for name in names] if config_dir else []
+    for candidate in [*candidates, DATA_DIR / names[1]]:
+        if os.path.exists(candidate):
+            return candidate
     raise ConfigError(
         f"unknown scenario {ref!r}; expected a YAML path or one of {BUILTIN_SCENARIOS}")
 
@@ -91,8 +86,9 @@ def _unique_keys(loader: type) -> type:
 
 def load_schedule(ref: str) -> ScenarioSchedule:
     path = scenario_path(ref)
+    text, data = read_input(path, "scenario")
     try:
-        doc = yaml.load(read_input(path, "scenario"), Loader=_unique_keys(_Loader))
+        doc = yaml.load(text, Loader=_unique_keys(_Loader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     if not isinstance(doc, dict):
@@ -135,6 +131,7 @@ def load_schedule(ref: str) -> ScenarioSchedule:
             entries=tuple(built),
             step_fields=frozenset(step) or DEFAULT_STEP_FIELDS,
             source=str(path),
+            digest=hashlib.sha256(data).hexdigest()[:12],
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
@@ -145,10 +142,10 @@ def load_schedule(ref: str) -> ScenarioSchedule:
 
 
 def schedule_digest(ref: str) -> str:
-    """Stable content hash of the scenario file, for run manifests."""
-    return hashlib.sha256(scenario_path(ref).read_bytes()).hexdigest()[:12]
+    """The digest `load_schedule(ref)` records, without parsing the file."""
+    return hashlib.sha256(read_input(scenario_path(ref), "scenario")[1]).hexdigest()[:12]
 
 
 def sample_sales_path() -> Path:
     """The packaged China BEV annual-sales series (thousand vehicles)."""
-    return Path(str(resources.files("greenpremium.data") / "china_bev_sales.csv"))
+    return DATA_DIR / "china_bev_sales.csv"

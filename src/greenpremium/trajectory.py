@@ -81,8 +81,10 @@ class ScenarioSchedule:
     span: tuple[int, int]
     entries: tuple[ScheduleEntry, ...]
     step_fields: frozenset[str] = field(default=DEFAULT_STEP_FIELDS)
-    # The file the schedule was read from, named in resolution errors.
+    # The file the schedule was read from, named in resolution errors, and
+    # the SHA-256 (first 12 hex digits) of the bytes parsed, for run manifests.
     source: str | None = field(default=None, compare=False)
+    digest: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         years = [e.year for e in self.entries]

@@ -408,6 +408,121 @@ def test_config_dir_env_var(tmp_path, monkeypatch):
                 "--out", str(out)]) == 0
 
 
+_BUILTIN = config.DATA_DIR / "long_range.yaml"
+
+
+@pytest.mark.parametrize("ref, files, chosen", [
+    ("long-range", ["long-range", "conf/long-range.yaml"], "long-range"),
+    ("long-range", ["conf/long-range.yaml", "conf/long_range.yaml"], "conf/long-range.yaml"),
+    ("long-range", ["conf/long_range.yaml"], "conf/long_range.yaml"),
+    ("long-range", ["conf/other.yaml"], None),
+    ("long_range", [], None),
+    ("no-such", ["conf/other.yaml"], "unknown"),
+], ids=["path-wins-without-suffix", "config-dir-name", "config-dir-underscored",
+        "built-in", "built-in-underscored", "unknown"])
+def test_scenario_lookup_order(tmp_path, capsys, monkeypatch, ref, files, chosen):
+    """An existing path, then $GREENPREMIUM_CONFIG_DIR/<ref>.yaml, then the
+    same with - as _, then the built-in; the manifest hash names the file read."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conf").mkdir()
+    monkeypatch.setenv(config.CONFIG_DIR_ENV, str(tmp_path / "conf"))
+    for name in files:
+        (tmp_path / name).write_text(_BUILTIN.read_text().replace(
+            "name: long-range", f"name: long-range  # {name}"))
+    code = run(["tco", "--scenario", ref, "--out", "tco.csv"])
+    if chosen == "unknown":
+        assert code == 1
+        assert f"error: unknown scenario {ref!r}" in capsys.readouterr().err
+        return
+    read = _BUILTIN if chosen is None else tmp_path / chosen
+    digest = hashlib.sha256(read.read_bytes()).hexdigest()[:12]
+    assert code == 0
+    assert f"# scenario: {ref} sha256:{digest}" in (tmp_path / "tco.csv").read_text()
+
+
+_FIT_OPTIONS = ["--data", str(config.sample_sales_path()), "--seed", "0",
+                "--population", "20", "--generations", "3"]
+
+
+@pytest.mark.parametrize("command", [
+    ["tco"], ["premium-series"], ["parity"], ["sensitivity"],
+    ["forecast", "--params", "params.csv"], ["fit", *_FIT_OPTIONS], ["compare", *_FIT_OPTIONS],
+    ["fit", "--vanilla", *_FIT_OPTIONS],
+], ids=["tco", "premium-series", "parity", "sensitivity", "forecast", "fit", "compare",
+        "fit-vanilla"])
+def test_scenario_is_looked_up_and_read_once(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    Path("params.csv").write_text("p,q,beta,m\n0.001,0.3,0,80000\n")
+    scenario = tmp_path / "s.yaml"
+    scenario.write_bytes(_BUILTIN.read_bytes())
+    lookups, reads = [], []
+    lookup, open_ = config.scenario_path, Path.open
+    monkeypatch.setattr(config, "scenario_path", lambda ref: lookups.append(ref) or lookup(ref))
+
+    def counted_open(self, *args, **kwargs):
+        if self == scenario:
+            reads.append(self)
+        return open_(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted_open)
+    run_to_file(tmp_path, "out.csv", [*command, "--scenario", str(scenario)])
+    once = 0 if "--vanilla" in command else 1    # a vanilla fit reads no scenario
+    assert (len(lookups), len(reads)) == (once, once)
+
+
+@pytest.mark.parametrize("where", ["path", "config-dir"])
+def test_scenario_below_an_unsearchable_directory_exits_1_naming_it(
+        tmp_path, capsys, monkeypatch, where):
+    """What a directory without +x does to a process that is not root: every
+    stat or open below it fails with EACCES."""
+    monkeypatch.chdir(tmp_path)
+    Path("locked/conf").mkdir(parents=True)
+
+    def locked(real):
+        def call(path, *args, **kwargs):
+            if isinstance(path, (str, os.PathLike)) and "locked" in Path(path).parts:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real(path, *args, **kwargs)
+        return call
+
+    for owner, name in ((os, "stat"), (Path, "stat"), (Path, "open")):
+        monkeypatch.setattr(owner, name, locked(getattr(owner, name)))
+    if where == "path":
+        ref = "locked/x.yaml"
+        message = f"{ref}: cannot read scenario file: Permission denied"
+    else:
+        monkeypatch.setenv(config.CONFIG_DIR_ENV, "locked/conf")
+        ref, message = "my-case", "unknown scenario 'my-case'"
+    assert run(["tco", "--scenario", ref, "--out", "tco.csv"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "runtime error" not in err
+    assert not Path("tco.csv").exists()
+
+
+def test_manifest_hashes_the_bytes_the_command_parsed(tmp_path, monkeypatch):
+    """A byte-order mark and CRLF lines are hashed as they are on disk, and a
+    file replaced after it was read does not change the hash."""
+    scenario = tmp_path / "crlf.yaml"
+    original = b"\xef\xbb\xbf" + _BUILTIN.read_bytes().replace(b"\n", b"\r\n")
+    scenario.write_bytes(original)
+    digest = hashlib.sha256(original).hexdigest()[:12]
+    assert config.schedule_digest(str(scenario)) == digest
+    assert config.load_schedule(str(scenario)).digest == digest
+    reader = config.read_input
+
+    def read_then_replace(path, what):
+        read = reader(path, what)
+        scenario.write_bytes(b"# replaced\n" + original)
+        return read
+
+    monkeypatch.setattr(config, "read_input", read_then_replace)
+    out = run_to_file(tmp_path, "tco.csv", ["tco", "--scenario", str(scenario)])
+    plain = run_to_file(tmp_path, "plain.csv", ["tco"])
+    lines = out.read_text().splitlines()
+    assert f"# scenario: {scenario} sha256:{digest}" in lines
+    assert lines[3:] == plain.read_text().splitlines()[3:]
+
+
 # --- exit codes ----------------------------------------------------------------
 
 def test_exit_codes(tmp_path):
@@ -455,7 +570,7 @@ def test_unreadable_input_exits_1_naming_the_path(
         path.mkdir()
     else:
         path.write_text("")
-        monkeypatch.setattr(Path, "read_text", permission_denied)
+        monkeypatch.setattr(Path, "read_bytes", permission_denied)
     out = tmp_path / "out.csv"
     assert run([*command, option, str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
