@@ -443,6 +443,31 @@ def test_ga_fit_matches_plain_reference_bitwise(long_range, china_sales,
         china_sales, *reference_case(long_range, model, population, seed))
 
 
+@pytest.mark.parametrize("ahead", [3], ids=["late-helper"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("population", REFERENCE_POPULATIONS)
+@pytest.mark.parametrize("model", REFERENCE_MODELS)
+def test_ga_fit_drawing_ahead_matches_plain_reference_bitwise(
+        long_range, china_sales, monkeypatch, model, population, seed, ahead):
+    """A generation's draws depend on the generator alone, not on the
+    population they breed: with the first three generations' sets drawn
+    before the first is bred and the rest inline, every result is still
+    the plain reference's."""
+    premiums, cfg = reference_case(long_range, model, population, seed)
+    Draws = fitting._Draws
+
+    class DrawnAhead(Draws):
+        def __init__(self, rng, n_pop, sigma_rows):
+            super().__init__(rng, n_pop, sigma_rows)
+            self.ahead = [Draws(rng, n_pop, sigma_rows).fill() for _ in range(ahead)]
+
+        def fill(self):
+            return self.ahead.pop(0) if self.ahead else super().fill()
+
+    monkeypatch.setattr(fitting, "_Draws", DrawnAhead)
+    assert_ga_fit_matches_reference(china_sales, premiums, cfg)
+
+
 def test_ga_fit_wide_population_matches_plain_reference_bitwise(long_range, china_sales):
     """A population the size of the wide benchmark fit is pinned too."""
     premiums = tj.premium_series(long_range, range(2010, 2022))
