@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import secrets
 import sys
 import time
@@ -155,7 +156,12 @@ def load_params_csv(path: str) -> BassParams:
 
 def _manifest(command: str, scenario: str, sched: tj.ScenarioSchedule | None,
               seed: int | None = None, **extra) -> RunManifest:
-    """`sched` was loaded from `scenario`; a command that loads none names none."""
+    """`sched` was loaded from `scenario`; a command that loads none names none.
+    A path or a built-in is named as typed, a file found in
+    $GREENPREMIUM_CONFIG_DIR by its path."""
+    read = Path(sched.source) if sched else None
+    if read and read != Path(scenario) and read.parent != config.DATA_DIR:
+        scenario = sched.source
     return RunManifest(
         command=command,
         config_ref=scenario if sched else None,
@@ -218,8 +224,7 @@ def _report_bounds(model: str, result: FitResult) -> None:
 
 def cmd_tco(args) -> None:
     sched = config.load_schedule(args.scenario)
-    sc = tj.resolve_scenario(sched, args.year)
-    point = tj.evaluate_year(sc)
+    sc, point = tj.evaluate(sched, args.year)
     rows = [
         ["ev_price", _fmt(sc.prices.ev_price)],
         ["icev_price", _fmt(sc.prices.icev_price)],
@@ -311,8 +316,12 @@ def cmd_forecast(args) -> None:
 
 def cmd_sensitivity(args) -> None:
     sched = config.load_schedule(args.scenario)
-    base = tj.resolve_scenario(sched, args.year)
+    base, _ = tj.evaluate(sched, args.year)
     rows_out, errors = sn.sensitivity_table(base, sn.default_factors(), args.target)
+    for r in rows_out:
+        if not all(map(math.isfinite, (*r.changes, r.coefficient))):
+            raise CliError(f"{sched.source}: year {args.year}: {r.factor}: a perturbed "
+                           f"{args.target} premium is not finite")
     rows = [[r.factor, r.group, r.base_label,
              _fmt(r.changes[0]), _fmt(r.changes[1]), _fmt(r.changes[2]),
              _fmt(r.changes[3]), _fmt(r.coefficient)]

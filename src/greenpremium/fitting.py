@@ -81,6 +81,8 @@ STAGNATION_TOL = 1e-10
 STAGNATION_PATIENCE = 50
 # First to last observed year, inclusive; at 800 genomes a 12.8 MB flow block.
 MAX_WINDOW_YEARS = 1000
+# Genomes per generation; over MAX_WINDOW_YEARS a 1.6 GB flow block.
+MAX_POPULATION = 100_000
 DEFAULT_BOUNDS: Mapping[str, tuple[float, float]] = MappingProxyType({
     "p": (1e-4, 0.02),
     "q": (0.05, 0.8),
@@ -101,8 +103,9 @@ class FitConfig:
     bounds: ClassVar[Mapping[str, tuple[float, float]]] = DEFAULT_BOUNDS
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise FitError("population_size must be >= 2")
+        if not 2 <= self.population_size <= MAX_POPULATION:
+            raise FitError(f"population_size must be between 2 and {MAX_POPULATION}, "
+                           f"got {self.population_size}")
         if self.rng_seed < 0:
             raise FitError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("late_weight", "m_value"):
@@ -197,45 +200,21 @@ def objective(params: BassParams, obs: ObservationSeries,
     return float(problem.evaluate(np.array([genome]))[0])
 
 
-class _Draws:
-    """One generation's fitness-independent draws, in the documented order.
+def _breed(rng: np.random.Generator, pop: np.ndarray, fitness: np.ndarray, children: np.ndarray,
+           lo_rows: np.ndarray, hi_rows: np.ndarray, sigma_rows: np.ndarray) -> None:
+    """Fill `children` from `pop` with one generation's draws from `rng`, in
+    this order: the tournament contenders, as (contender, slot, child); one
+    crossover uniform per child; the blend weights; the mutation flags; and
+    standard normal noise scaled by each gene's sigma."""
+    n_children = len(children)
+    cands = rng.integers(0, len(pop), size=(n_children, 2, 3)).transpose(2, 1, 0)
+    keep_a = rng.random((n_children, 1)) >= CROSSOVER_PROB
+    blend_u = rng.random(children.shape)
+    mutate = rng.random(children.shape) < MUTATION_PROB
+    noise = rng.standard_normal(children.shape) * sigma_rows
 
-    `fill` draws the tournament contenders, stored as (contender, slot,
-    child); the crossover flags, kept as the keep-parent-A mask; the blend
-    weights; the mutation flags, kept as the mutate mask; and standard
-    normal noise scaled by each gene's sigma. A set holds only what
-    breeding reads: the flags' uniforms pass through the noise buffer,
-    and the contenders, each below the population size, are int32.
-    """
-
-    def __init__(self, rng: np.random.Generator, n_pop: int, sigma_rows: np.ndarray) -> None:
-        n_children, n_genes = sigma_rows.shape
-        self.rng, self.n_pop, self.sigma_rows = rng, n_pop, sigma_rows
-        self.cands = np.empty((3, 2, n_children), np.int32 if n_pop <= 2**31 else np.int64)
-        self.keep_a = np.empty((n_children, 1), dtype=bool)
-        self.blend_u = np.empty((n_children, n_genes))
-        self.mutate = np.empty((n_children, n_genes), dtype=bool)
-        self.noise = np.empty((n_children, n_genes))
-
-    def fill(self) -> _Draws:
-        n_children = len(self.noise)
-        np.copyto(self.cands, self.rng.integers(0, self.n_pop, size=(n_children, 2, 3))
-                  .transpose(2, 1, 0))
-        cx_u = self.rng.random(out=self.noise.reshape(-1)[:n_children])
-        np.greater_equal(cx_u, CROSSOVER_PROB, out=self.keep_a[:, 0])
-        self.rng.random(out=self.blend_u)
-        np.less(self.rng.random(out=self.noise), MUTATION_PROB, out=self.mutate)
-        self.rng.standard_normal(out=self.noise)
-        self.noise *= self.sigma_rows
-        return self
-
-
-def _breed(pop: np.ndarray, fitness: np.ndarray, draws: _Draws, children: np.ndarray,
-           lo_rows: np.ndarray, hi_rows: np.ndarray) -> None:
-    """Fill `children` from `pop` with one generation's draws."""
     # Tournaments of three per parent slot: strict compares keep the first
     # of equal contenders, as argmin does (for any fitness without NaN).
-    cands = draws.cands
     fit = fitness.take(cands)
     first = fit[1] < fit[0]
     winners = np.where(first, cands[1], cands[0])
@@ -251,10 +230,10 @@ def _breed(pop: np.ndarray, fitness: np.ndarray, draws: _Draws, children: np.nda
     np.multiply(span, 0.5, out=children)
     np.subtract(gmin, children, out=children)
     span *= 2.0
-    span *= draws.blend_u
+    span *= blend_u
     children += span
-    np.copyto(children, pa, where=draws.keep_a)
-    np.add(children, draws.noise, out=children, where=draws.mutate)
+    np.copyto(children, pa, where=keep_a)
+    np.add(children, noise, out=children, where=mutate)
     np.maximum(children, lo_rows, out=children)
     np.minimum(children, hi_rows, out=children)
 
@@ -288,7 +267,6 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     history: list[float] = []
     stale = 0
     converged = False
-    draws = _Draws(rng, n_pop, sigma_rows)
     # A genome whose squared error overflows scores inf and loses every tournament.
     with np.errstate(over="ignore"):
         fitness = problem.evaluate(pop)
@@ -297,7 +275,7 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
             order = int(np.argmin(fitness))
             next_pop[0] = pop[order]
             next_fitness[0] = fitness[order]
-            _breed(pop, fitness, draws.fill(), next_pop[1:], lo_rows, hi_rows)
+            _breed(rng, pop, fitness, next_pop[1:], lo_rows, hi_rows, sigma_rows)
 
             # Rows evaluate independently, so the elite keeps its fitness.
             next_fitness[1:] = problem.evaluate(next_pop[1:])

@@ -201,6 +201,11 @@ class PremiumPoint:
     tco_ev: float
     tco_icev: float
 
+    def __post_init__(self) -> None:
+        bad = [f"{name} = {v}" for name, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite premium value in year {self.year}: {', '.join(bad)}")
+
 
 @dataclass(frozen=True)
 class PremiumSeries:
@@ -212,11 +217,6 @@ class PremiumSeries:
         years = [p.year for p in self.points]
         if years and years != list(range(years[0], years[0] + len(years))):
             raise ValueError("premium series years must be contiguous")
-        for p in self.points:
-            for v in (p.production, p.acquisition, p.lifecycle, p.lcod_ev, p.lcod_icev,
-                      p.tco_ev, p.tco_icev):
-                if v != v or v in (float("inf"), float("-inf")):
-                    raise ValueError(f"non-finite premium value in year {p.year}")
 
     @property
     def years(self) -> range:
@@ -258,9 +258,18 @@ def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
     )
 
 
+def evaluate(sched: ScenarioSchedule, year: int) -> tuple[cm.VehicleScenario, PremiumPoint]:
+    """`year`'s resolved scenario and its evaluation; an evaluation that fails,
+    or has a value that is not finite, names the schedule's source file."""
+    sc = resolve_scenario(sched, year)
+    try:
+        return sc, evaluate_year(sc)
+    except ValueError as exc:
+        raise ScheduleError(f"{sched.source}: {exc}" if sched.source else str(exc)) from exc
+
+
 def premium_series(sched: ScenarioSchedule, years: Iterable[int]) -> PremiumSeries:
-    return PremiumSeries(tuple(
-        evaluate_year(resolve_scenario(sched, y)) for y in years))
+    return PremiumSeries(tuple(evaluate(sched, y)[1] for y in years))
 
 
 def parity_year(series: PremiumSeries, which: cm.PremiumKind) -> int | None:

@@ -108,6 +108,43 @@ def test_value_check_failing_while_a_year_resolves_names_file_and_year(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edits", [
+    [("engine_intake_exhaust_cost: 16000", "engine_intake_exhaust_cost: 1.0e+308"),
+     ("transmission_cost: 11000", "transmission_cost: 1.0e+308")],
+    [("battery_unit_cost: 7500", "battery_unit_cost: 1.0e+308")],
+], ids=["icev-costs", "battery-cost"])
+@pytest.mark.parametrize("command", [["tco", "--year", "2010"], ["sensitivity", "--year", "2010"],
+                                     ["premium-series"], ["parity"]],
+                         ids=["tco", "sensitivity", "premium-series", "parity"])
+def test_year_that_evaluates_to_a_non_finite_value_exits_1_naming_file_and_year(
+        tmp_path, capsys, command, edits):
+    text = config.scenario_path("long-range").read_text()
+    for old, new in edits:      # the first occurrence is in the 2010 entry
+        assert text.index(old) < text.index("  - year: 2013")
+        text = text.replace(old, new, 1)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run([*command, "--scenario", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: non-finite premium value in year 2010: " in err
+    assert not out.exists()
+
+
+def test_sensitivity_row_that_is_not_finite_exits_1_naming_file_year_and_factor(
+        tmp_path, capsys):
+    # The base year evaluates, but +20% of the EV residual overflows.
+    text = config.scenario_path("long-range").read_text()
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace("ev_residual: 35000", "ev_residual: 1.6e+308", 1))
+    out = tmp_path / "out.csv"
+    assert run(["sensitivity", "--year", "2010", "--scenario", str(bad),
+                "--out", str(out)]) == 1
+    assert (f"error: {bad}: year 2010: ev_residual: a perturbed lifecycle premium is "
+            "not finite\n" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["tco", "fit"])
 def test_year_outside_the_span_names_the_scenario_file(tmp_path, capsys, command):
     sales = tmp_path / "sales.csv"
@@ -422,7 +459,8 @@ _BUILTIN = config.DATA_DIR / "long_range.yaml"
         "built-in", "built-in-underscored", "unknown"])
 def test_scenario_lookup_order(tmp_path, capsys, monkeypatch, ref, files, chosen):
     """An existing path, then $GREENPREMIUM_CONFIG_DIR/<ref>.yaml, then the
-    same with - as _, then the built-in; the manifest hash names the file read."""
+    same with - as _, then the built-in; the manifest hash is of the file
+    read, and a file from the config directory is named by its path."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "conf").mkdir()
     monkeypatch.setenv(config.CONFIG_DIR_ENV, str(tmp_path / "conf"))
@@ -437,7 +475,8 @@ def test_scenario_lookup_order(tmp_path, capsys, monkeypatch, ref, files, chosen
     read = _BUILTIN if chosen is None else tmp_path / chosen
     digest = hashlib.sha256(read.read_bytes()).hexdigest()[:12]
     assert code == 0
-    assert f"# scenario: {ref} sha256:{digest}" in (tmp_path / "tco.csv").read_text()
+    named = ref if chosen in (None, ref) else read
+    assert f"# scenario: {named} sha256:{digest}" in (tmp_path / "tco.csv").read_text()
 
 
 _FIT_OPTIONS = ["--data", str(config.sample_sales_path()), "--seed", "0",
@@ -592,8 +631,9 @@ def test_out_write_failure_exits_1_naming_the_path(tmp_path, capsys, monkeypatch
     (["--m-value", "0"], "m_value"),
     (["--generations", "-1"], "max_generations"),
     (["--seed", "-1"], "rng_seed"),
+    (["--population", "1000000000000", "--generations", "0"], "population_size"),
 ], ids=["late-weight-nan", "late-weight-negative", "m-value-zero", "generations-negative",
-        "seed-negative"])
+        "seed-negative", "population-too-large"])
 def test_fit_rejects_invalid_settings_before_fitting(tmp_path, capsys, options, field):
     out = tmp_path / "fit.csv"
     code = run(["fit", "--data", str(config.sample_sales_path()), "--seed", "0",
