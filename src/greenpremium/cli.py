@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import secrets
 import sys
 import time
@@ -293,14 +292,15 @@ def cmd_forecast(args) -> None:
     from .diffusion import decision_coefficient, simulate
     params = load_params_csv(args.params)
     sched = config.load_schedule(args.scenario)
-    years = _years(args)
-    series = tj.premium_series(sched, years)
+    # Adoption starts in the span's first year; --from only selects rows.
+    first = min(sched.span[0], args.year_from)
+    series = tj.premium_series(sched, range(first, _years(args).stop))
     try:
-        states = simulate(params, series, args.year_from, len(years))
+        states = simulate(params, series, first, len(series.years))
     except ValueError as exc:
         raise CliError(f"{args.params}: {exc}") from exc
     rows = []
-    for s in states:
+    for s in states[args.year_from - first:]:
         dp3 = series.lifecycle(s.year)
         rows.append([str(s.year),
                      _fmt(s.new_adopters, EXACT_DIGITS),
@@ -316,12 +316,11 @@ def cmd_forecast(args) -> None:
 
 def cmd_sensitivity(args) -> None:
     sched = config.load_schedule(args.scenario)
-    base, _ = tj.evaluate(sched, args.year)
-    rows_out, errors = sn.sensitivity_table(base, sn.default_factors(), args.target)
-    for r in rows_out:
-        if not all(map(math.isfinite, (*r.changes, r.coefficient))):
-            raise CliError(f"{sched.source}: year {args.year}: {r.factor}: a perturbed "
-                           f"{args.target} premium is not finite")
+    base = tj.resolve_scenario(sched, args.year)
+    try:
+        rows_out, errors = sn.sensitivity_table(base, sn.default_factors(), args.target)
+    except ValueError as exc:
+        raise tj.year_error(sched, args.year, exc) from exc
     rows = [[r.factor, r.group, r.base_label,
              _fmt(r.changes[0]), _fmt(r.changes[1]), _fmt(r.changes[2]),
              _fmt(r.changes[3]), _fmt(r.coefficient)]

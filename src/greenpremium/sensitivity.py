@@ -11,6 +11,7 @@ squares over the four points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -18,10 +19,6 @@ from . import costmodel as cm
 
 PERTURBATIONS = (-0.20, -0.10, 0.10, 0.20)
 DEGENERATE_BASE = 1e-9
-
-
-class DegenerateBaseError(ValueError):
-    """The base premium is too close to zero to normalise against."""
 
 
 @dataclass(frozen=True)
@@ -54,33 +51,10 @@ def _premium(sc: cm.VehicleScenario, target: cm.PremiumKind) -> float:
     return cm.lifecycle_premium(sc)
 
 
-def reference_point(base: cm.VehicleScenario, factor: FactorSpec,
-                    target: cm.PremiumKind = "lifecycle") -> tuple[cm.VehicleScenario, float]:
-    """The factor's re-based scenario and its premium, which `perturb` normalises by.
-
-    Raises DegenerateBaseError when that premium is too close to zero.
-    """
-    sc = base
-    for path, value in factor.rebase.items():
-        sc = cm.replace_field(sc, path, value)
-    reference = _premium(sc, target)
-    if abs(reference) < DEGENERATE_BASE:
-        raise DegenerateBaseError(
-            f"{factor.id}: base premium {reference:.2e} too small to normalise")
-    return sc, reference
-
-
-def perturb(base: cm.VehicleScenario, factor: FactorSpec, pct: float,
-            target: cm.PremiumKind = "lifecycle",
-            reference: tuple[cm.VehicleScenario, float] | None = None) -> float:
-    """Relative premium change when the factor's field moves by `pct`.
-
-    Returns (premium(perturbed) - premium(base)) / |premium(base)| with the
-    factor's re-based scenario as the reference. `reference`, when given, is
-    `reference_point(base, factor, target)` computed once by the caller, so
-    that several points of one factor share it; the result is the same.
-    """
-    sc, premium = reference_point(base, factor, target) if reference is None else reference
+def perturb(sc: cm.VehicleScenario, premium: float, factor: FactorSpec, pct: float,
+            target: cm.PremiumKind = "lifecycle") -> float:
+    """(premium(moved) - premium) / |premium| when the factor's field of `sc`, its
+    re-based scenario whose `target` premium is `premium`, moves by `pct`."""
     value = cm.get_field(sc, factor.accessor)
     moved = _premium(cm.replace_field(sc, factor.accessor, value * (1.0 + pct)), target)
     return (moved - premium) / abs(premium)
@@ -98,24 +72,33 @@ def coefficient(changes: Sequence[float]) -> float:
 def sensitivity_table(base: cm.VehicleScenario, factors: Sequence[FactorSpec],
                       target: cm.PremiumKind = "lifecycle",
                       ) -> tuple[list[SensitivityRow], dict[str, str]]:
-    """Evaluate all factors; degenerate bases are collected, not fatal.
-
-    Rows are grouped in the fixed order Production, Subsidy, Cost, Residual
-    and sorted by |coefficient| within each group. Returns (rows, errors).
-    """
+    """Evaluate all factors: re-base each, price its reference premium once and
+    `perturb` each point. A degenerate reference is collected in `errors`, not
+    fatal; a point that cannot be priced, or is not finite, raises a ValueError
+    naming the factor. Rows are grouped in the fixed order Production, Subsidy,
+    Cost, Residual and sorted by |coefficient| within each group. Returns
+    (rows, errors)."""
     rows: list[SensitivityRow] = []
     errors: dict[str, str] = {}
     for factor in factors:
         try:
-            reference = reference_point(base, factor, target)
-        except DegenerateBaseError as exc:
-            errors[factor.id] = str(exc)
-            continue
-        changes = tuple(perturb(base, factor, pct, target, reference)
-                        for pct in PERTURBATIONS)
+            sc = base
+            for path, value in factor.rebase.items():
+                sc = cm.replace_field(sc, path, value)
+            premium = _premium(sc, target)
+            if abs(premium) < DEGENERATE_BASE:
+                errors[factor.id] = (f"{factor.id}: base premium {premium:.2e} "
+                                     "too small to normalise")
+                continue
+            changes = tuple(perturb(sc, premium, factor, pct, target) for pct in PERTURBATIONS)
+        except ValueError as exc:
+            raise ValueError(f"{factor.id}: {exc}") from exc
+        slope = coefficient(changes)
+        if not all(map(math.isfinite, (*changes, slope))):
+            raise ValueError(f"{factor.id}: a perturbed {target} premium is not finite")
         rows.append(SensitivityRow(
             factor=factor.id, group=factor.group, base_label=factor.base_label,
-            changes=changes, coefficient=coefficient(changes)))
+            changes=changes, coefficient=slope))
     group_order = {g: i for i, g in enumerate(("Production", "Subsidy", "Cost", "Residual"))}
     rows.sort(key=lambda r: (group_order.get(r.group, len(group_order)),
                              -abs(r.coefficient)))

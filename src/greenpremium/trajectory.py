@@ -186,8 +186,13 @@ def resolve_scenario(sched: ScenarioSchedule, year: int) -> cm.VehicleScenario:
             v.get("ev_price_margin"), v.get("icev_price_margin"),
             int(v.get("consumer_battery_replacements", 0)))
     except ValueError as exc:
-        where = "" if sched.source is None else f"{sched.source}: "
-        raise ScheduleError(f"{where}year {year}: {exc}") from exc
+        raise year_error(sched, year, exc) from exc
+
+
+def year_error(sched: ScenarioSchedule, year: int, exc: Exception) -> ScheduleError:
+    """`exc` as a ScheduleError naming the schedule's source file, when known, and `year`."""
+    where = "" if sched.source is None else f"{sched.source}: "
+    return ScheduleError(f"{where}year {year}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,7 @@ class PremiumPoint:
     def __post_init__(self) -> None:
         bad = [f"{name} = {v}" for name, v in vars(self).items() if not math.isfinite(v)]
         if bad:
-            raise ValueError(f"non-finite premium value in year {self.year}: {', '.join(bad)}")
+            raise ValueError(f"non-finite premium value: {', '.join(bad)}")
 
 
 @dataclass(frozen=True)
@@ -260,12 +265,12 @@ def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
 
 def evaluate(sched: ScenarioSchedule, year: int) -> tuple[cm.VehicleScenario, PremiumPoint]:
     """`year`'s resolved scenario and its evaluation; an evaluation that fails,
-    or has a value that is not finite, names the schedule's source file."""
+    or has a value that is not finite, names the schedule's source file and `year`."""
     sc = resolve_scenario(sched, year)
     try:
         return sc, evaluate_year(sc)
     except ValueError as exc:
-        raise ScheduleError(f"{sched.source}: {exc}" if sched.source else str(exc)) from exc
+        raise year_error(sched, year, exc) from exc
 
 
 def premium_series(sched: ScenarioSchedule, years: Iterable[int]) -> PremiumSeries:

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from greenpremium import config, fitting
+from greenpremium import sensitivity as sn
 from greenpremium import trajectory as tj
 from greenpremium.cli import (CliError, load_params_csv, load_sales_csv, run)
 from greenpremium.fitting import r_squared
@@ -127,7 +128,26 @@ def test_year_that_evaluates_to_a_non_finite_value_exits_1_naming_file_and_year(
     out = tmp_path / "out.csv"
     assert run([*command, "--scenario", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"error: {bad}: non-finite premium value in year 2010: " in err
+    assert f"error: {bad}: year 2010: " in err
+    assert not out.exists()
+
+
+def _long_range_with(tmp_path, old, new):
+    text = config.scenario_path("long-range").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "edited.yaml"
+    path.write_text(text.replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize("command, year", [("tco", 2021), ("premium-series", 2010)])
+def test_domain_error_while_a_year_evaluates_names_file_and_year(tmp_path, capsys,
+                                                                command, year):
+    bad = _long_range_with(tmp_path, "icev_residual: 65000", "icev_residual: 300000000")
+    out = tmp_path / "out.csv"
+    assert run([command, "--scenario", str(bad), "--out", str(out)]) == 1
+    assert (f"error: {bad}: year {year}: lifecycle premium undefined: ICEV TCO must be "
+            "positive\n" in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -143,6 +163,38 @@ def test_sensitivity_row_that_is_not_finite_exits_1_naming_file_year_and_factor(
     assert (f"error: {bad}: year 2010: ev_residual: a perturbed lifecycle premium is "
             "not finite\n" in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_sensitivity_point_that_cannot_be_priced_names_file_year_and_factor(
+        tmp_path, capsys):
+    bad = _long_range_with(tmp_path, "discount_rate: 0.05", "discount_rate: -0.5")
+    out = tmp_path / "out.csv"
+    assert run(["sensitivity", "--year", "2021", "--scenario", str(bad),
+                "--out", str(out)]) == 1
+    assert (f"error: {bad}: year 2021: battery_800: lifecycle premium undefined: "
+            "ICEV TCO must be positive\n" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, target", [
+    ("discount_rate: 0.05", "discount_rate: -0.5", "production"),
+    ("discount_rate: 0.05", "discount_rate: -0.5", "acquisition"),
+    ("annual_km: 15000", "annual_km: 0", "lifecycle"),
+    ("annual_km: 15000", "annual_km: 0", "production"),
+    ("annual_km: 15000", "annual_km: 0", "acquisition"),
+], ids=["discount-production", "discount-acquisition", "no-km-lifecycle",
+        "no-km-production", "no-km-acquisition"])
+def test_sensitivity_does_not_price_premiums_it_does_not_report(tmp_path, old, new, target):
+    """A lifecycle or LCOD error in the base year fails only a table that needs it."""
+    edited = _long_range_with(tmp_path, old, new)
+    out = run_to_file(tmp_path, "out.csv", ["sensitivity", "--year", "2021", "--scenario",
+                                            str(edited), "--target", target])
+    base = tj.resolve_scenario(config.load_schedule(str(edited)), 2021)
+    rows, errors = sn.sensitivity_table(base, sn.default_factors(), target)
+    assert not errors
+    assert [list(r.values()) for r in parse_csv(out)] == [
+        [r.factor, r.group, r.base_label, *(f"{v:.6g}" for v in (*r.changes, r.coefficient))]
+        for r in rows]
 
 
 @pytest.mark.parametrize("command", ["tco", "fit"])
@@ -279,6 +331,24 @@ _GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_scenario_command_output_matches_its_golden_file(tmp_path, command, scenario):
     out = run_to_file(tmp_path, "out.csv", [command, "--scenario", scenario])
     assert out.read_bytes() == (_GOLDEN / f"{command}_{scenario}.csv").read_bytes()
+
+
+def test_forecast_from_a_later_year_selects_rows_of_the_full_run(tmp_path, capsys):
+    """Adoption starts in the scenario's first year whatever --from says; a
+    --from before that year still exits 1 naming the scenario file."""
+    fitted = run_to_file(tmp_path, "fitted.csv",
+                         ["fit", "--data", str(config.sample_sales_path()), "--seed", "0"])
+    full = run_to_file(tmp_path, "full.csv", ["forecast", "--params", str(fitted)])
+    late = run_to_file(tmp_path, "late.csv", ["forecast", "--params", str(fitted),
+                                              "--from", "2021"])
+    rows = [line for line in full.read_text().splitlines() if not line.startswith("#")]
+    late_rows = [line for line in late.read_text().splitlines() if not line.startswith("#")]
+    assert late_rows[0] == rows[0]          # the header
+    assert late_rows[1:] == rows[12:] and rows[12].startswith("2021,")
+    capsys.readouterr()
+    assert run(["forecast", "--params", str(fitted), "--from", "2005"]) == 1
+    assert (f"error: {config.scenario_path('long-range')}: year 2005 outside schedule "
+            "span 2010..2030\n" in capsys.readouterr().err)
 
 
 def test_fit_forecast_round_trip(tmp_path, china_sales):

@@ -162,7 +162,7 @@ def test_premium_series_requires_contiguous_years():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_premium_series_rejects_a_non_finite_value(name, value):
     point = tj.PremiumPoint(2010, 0, 0, 0, 1, 1, 1, 1)
-    with pytest.raises(ValueError, match="non-finite premium value in year 2010"):
+    with pytest.raises(ValueError, match=f"^non-finite premium value: {name} = "):
         tj.PremiumSeries(points=(dataclasses.replace(point, **{name: value}),))
 
 
