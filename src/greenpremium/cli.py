@@ -225,8 +225,8 @@ def cmd_tco(args) -> None:
     sched = config.load_schedule(args.scenario)
     sc, point = tj.evaluate(sched, args.year)
     rows = [
-        ["ev_price", _fmt(sc.prices.ev_price)],
-        ["icev_price", _fmt(sc.prices.icev_price)],
+        ["ev_price", _fmt(sc.ev_price)],
+        ["icev_price", _fmt(sc.icev_price)],
         ["tco_ev", _fmt(point.tco_ev)],
         ["tco_icev", _fmt(point.tco_icev)],
         ["lcod_ev", _fmt(point.lcod_ev)],

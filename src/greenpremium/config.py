@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import re
 from pathlib import Path
 
 import yaml
@@ -67,7 +68,10 @@ def scenario_path(ref: str) -> Path:
 @functools.cache
 def _unique_keys(loader: type) -> type:
     """`loader`, except that a key repeated in one mapping is an error where
-    PyYAML keeps the last value. A key may still override a merged (<<) one."""
+    PyYAML keeps the last value, and that a plain number with an exponent
+    reads as a float even without a dot or an exponent sign (7.5e3, 1e3,
+    2E+4), where YAML 1.1 reads it as text. A key may still override a
+    merged (<<) one."""
     class UniqueKeyLoader(loader):
         def construct_mapping(self, node, deep=False):
             own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
@@ -81,6 +85,9 @@ def _unique_keys(loader: type) -> type:
                         "while constructing a mapping", node.start_mark,
                         f"found duplicate key {key!r}", own[i].start_mark)
             return mapping
+    UniqueKeyLoader.add_implicit_resolver(     # copies the resolver table first
+        "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
+        list("-+0123456789"))
     return UniqueKeyLoader
 
 

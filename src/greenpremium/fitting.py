@@ -245,6 +245,7 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
         raise FitError("need at least 4 observations")
     if all(s == 0 for s in obs.sales):
         raise FitError("degenerate fit: all observations are zero")
+    _sum_of_squares(obs.sales)      # R^2 of the fit must be defined
 
     problem = _FitProblem(obs, premiums, cfg,
                           {} if cfg.m_value is None else {"m": cfg.m_value})
@@ -319,19 +320,32 @@ def predictions(params: BassParams, obs: ObservationSeries,
     return tuple(by_year[y] for y in years)
 
 
+def _sum_of_squares(observed: Sequence[float]) -> float:
+    """The squared deviations of `observed` about its mean, which R^2 divides
+    by; a ValueError when that sum is 0 or not finite."""
+    mean = sum(observed) / len(observed)
+    try:
+        sst = sum((o - mean) ** 2 for o in observed)
+    except OverflowError:
+        sst = math.inf
+    if sst == 0:
+        raise ValueError("R^2 undefined: observations are all equal" if len(set(observed)) == 1
+                         else "R^2 undefined: observations vary too little")
+    if not math.isfinite(sst):
+        raise ValueError("R^2 undefined: squared deviations are not finite")
+    return sst
+
+
 def r_squared(predicted: Sequence[float], observed: Sequence[float]) -> float:
     """Coefficient of determination about the observed mean."""
     if len(predicted) != len(observed) or len(observed) < 2:
         raise ValueError("need equal-length series of at least 2 points")
-    mean = sum(observed) / len(observed)
+    sst = _sum_of_squares(observed)
     try:
-        sst = sum((o - mean) ** 2 for o in observed)
         sse = sum((p - o) ** 2 for p, o in zip(predicted, observed))
     except OverflowError:
-        sst = sse = math.inf
-    if sst == 0:
-        raise ValueError("R^2 undefined: observations are all equal")
-    if not math.isfinite(sst + sse):
+        sse = math.inf
+    if not math.isfinite(sse):
         raise ValueError("R^2 undefined: squared deviations are not finite")
     if not math.isfinite(sse / sst):
         raise ValueError("R^2 undefined: observations vary too little")

@@ -26,7 +26,7 @@ class FactorSpec:
     """One sensitivity row: which field moves, and from which base point."""
 
     id: str
-    accessor: str                       # dotted VehicleScenario field path
+    accessor: str                       # VehicleScenario field name
     base_label: str
     group: str = "Cost"
     rebase: Mapping[str, float] = field(default_factory=dict)
@@ -43,9 +43,7 @@ class SensitivityRow:
 
 def _premium(sc: cm.VehicleScenario, target: cm.PremiumKind) -> float:
     if target == "production":
-        return cm.production_premium(
-            cm.production_cost_ev(sc.ev, sc.prices.common_base_cost),
-            cm.production_cost_icev(sc.icev, sc.prices.common_base_cost))
+        return cm.production_premium(cm.production_cost_ev(sc), cm.production_cost_icev(sc))
     if target == "acquisition":
         return cm.acquisition_premium(sc)
     return cm.lifecycle_premium(sc)
@@ -55,7 +53,7 @@ def perturb(sc: cm.VehicleScenario, premium: float, factor: FactorSpec, pct: flo
             target: cm.PremiumKind = "lifecycle") -> float:
     """(premium(moved) - premium) / |premium| when the factor's field of `sc`, its
     re-based scenario whose `target` premium is `premium`, moves by `pct`."""
-    value = cm.get_field(sc, factor.accessor)
+    value = getattr(sc, factor.accessor)
     moved = _premium(cm.replace_field(sc, factor.accessor, value * (1.0 + pct)), target)
     return (moved - premium) / abs(premium)
 
@@ -83,8 +81,8 @@ def sensitivity_table(base: cm.VehicleScenario, factors: Sequence[FactorSpec],
     for factor in factors:
         try:
             sc = base
-            for path, value in factor.rebase.items():
-                sc = cm.replace_field(sc, path, value)
+            for name, value in factor.rebase.items():
+                sc = cm.replace_field(sc, name, value)
             premium = _premium(sc, target)
             if abs(premium) < DEGENERATE_BASE:
                 errors[factor.id] = (f"{factor.id}: base premium {premium:.2e} "
@@ -110,23 +108,23 @@ def default_factors() -> tuple[FactorSpec, ...]:
     costs (fuel consumption evaluated at 6 and 4 L/100km baselines), and
     residual/financing terms."""
     return (
-        FactorSpec("battery_800", "ev.battery_unit_cost", "Battery (800)",
-                   "Production", rebase={"ev.battery_unit_cost": 800.0}),
-        FactorSpec("battery_650", "ev.battery_unit_cost", "Battery (650)",
-                   "Production", rebase={"ev.battery_unit_cost": 650.0}),
-        FactorSpec("battery_500", "ev.battery_unit_cost", "Battery (500)",
-                   "Production", rebase={"ev.battery_unit_cost": 500.0}),
-        FactorSpec("credit", "policy.credit_price", "Credit", "Subsidy"),
-        FactorSpec("tax_rate", "policy.purchase_tax_rate", "Tax Rate (10%)", "Subsidy"),
-        FactorSpec("subsidy", "policy.acquisition_subsidy", "Subsidy", "Subsidy"),
-        FactorSpec("oil_cost_6l", "usage.icev_consumption", "Oil Cost (6L)",
-                   "Cost", rebase={"usage.icev_consumption": 6.0}),
-        FactorSpec("oil_cost_4l", "usage.icev_consumption", "Oil Cost (4L)",
-                   "Cost", rebase={"usage.icev_consumption": 4.0}),
-        FactorSpec("elec_cost", "usage.ev_consumption", "Elec Cost (13kWh)", "Cost"),
-        FactorSpec("annual_range", "usage.annual_km", "Range (15000)", "Cost"),
-        FactorSpec("elec_price", "usage.electricity_price", "Elec Price (1.2)", "Cost"),
-        FactorSpec("oil_price", "usage.gasoline_price", "Oil Price (7.5)", "Cost"),
-        FactorSpec("ev_residual", "finance.ev_residual", "EV Residual", "Residual"),
-        FactorSpec("discount_rate", "finance.discount_rate", "Discount Rate", "Residual"),
+        FactorSpec("battery_800", "battery_unit_cost", "Battery (800)",
+                   "Production", rebase={"battery_unit_cost": 800.0}),
+        FactorSpec("battery_650", "battery_unit_cost", "Battery (650)",
+                   "Production", rebase={"battery_unit_cost": 650.0}),
+        FactorSpec("battery_500", "battery_unit_cost", "Battery (500)",
+                   "Production", rebase={"battery_unit_cost": 500.0}),
+        FactorSpec("credit", "credit_price", "Credit", "Subsidy"),
+        FactorSpec("tax_rate", "purchase_tax_rate", "Tax Rate (10%)", "Subsidy"),
+        FactorSpec("subsidy", "acquisition_subsidy", "Subsidy", "Subsidy"),
+        FactorSpec("oil_cost_6l", "icev_consumption", "Oil Cost (6L)",
+                   "Cost", rebase={"icev_consumption": 6.0}),
+        FactorSpec("oil_cost_4l", "icev_consumption", "Oil Cost (4L)",
+                   "Cost", rebase={"icev_consumption": 4.0}),
+        FactorSpec("elec_cost", "ev_consumption", "Elec Cost (13kWh)", "Cost"),
+        FactorSpec("annual_range", "annual_km", "Range (15000)", "Cost"),
+        FactorSpec("elec_price", "electricity_price", "Elec Price (1.2)", "Cost"),
+        FactorSpec("oil_price", "gasoline_price", "Oil Price (7.5)", "Cost"),
+        FactorSpec("ev_residual", "ev_residual", "EV Residual", "Residual"),
+        FactorSpec("discount_rate", "discount_rate", "Discount Rate", "Residual"),
     )

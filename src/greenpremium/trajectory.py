@@ -11,21 +11,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 from . import costmodel as cm
 
-# Schedule keys, grouped by the scenario member they populate.
-EV_FIELDS, ICEV_FIELDS, POLICY_FIELDS, USAGE_FIELDS, FINANCE_FIELDS = (
-    cm.FIELD_NAMES[cls] for cls in (cm.EvPowertrain, cm.IcevPowertrain, cm.SubsidyPolicy,
-                                    cm.UsageProfile, cm.ResidualAndFinance))
+# Schedule keys: the snapshot's fields after `year`.
+ALL_FIELDS = tuple(f.name for f in fields(cm.VehicleScenario))[1:]
 # Each vehicle's (price, margin) keys: its market price is given, or derived
 # from a margin over production cost. The first entry decides which, for good.
 PRICE_KEYS = (("ev_price", "ev_price_margin"), ("icev_price", "icev_price_margin"))
 OPTIONAL_FIELDS = ("consumer_battery_replacements",)
-ALL_FIELDS = (EV_FIELDS + ICEV_FIELDS + POLICY_FIELDS + USAGE_FIELDS + FINANCE_FIELDS
-              + ("common_base_cost",) + PRICE_KEYS[0] + PRICE_KEYS[1] + OPTIONAL_FIELDS)
 
 # Fields that are flags/policies rather than smoothly drifting quantities.
 DEFAULT_STEP_FIELDS = frozenset({
@@ -165,26 +161,17 @@ def resolve_scenario(sched: ScenarioSchedule, year: int) -> cm.VehicleScenario:
     """Materialize the schedule into one immutable model-year snapshot.
 
     `values_at` has every key the first entry sets; a price key the schedule
-    does not use is absent, as is `consumer_battery_replacements` (taken as
-    0) before its first anchor. A value-object check that fails here is
-    raised as a `ScheduleError` naming the schedule's source file, when
-    known, and the year.
+    does not use is absent, as is `consumer_battery_replacements` before its
+    first anchor, and the snapshot's default stands in. A snapshot check that
+    fails here is raised as a `ScheduleError` naming the schedule's source
+    file, when known, and the year.
     """
     v = sched.values_at(year)
-    usage = {f: v[f] for f in USAGE_FIELDS}
-    usage["lifecycle_years"] = int(usage["lifecycle_years"])
+    for name in INTEGER_FIELDS:
+        if name in v:
+            v[name] = int(v[name])
     try:
-        return cm.build_scenario(
-            year,
-            cm.EvPowertrain(*[v[f] for f in EV_FIELDS]),
-            cm.IcevPowertrain(*[v[f] for f in ICEV_FIELDS]),
-            cm.SubsidyPolicy(*[v[f] for f in POLICY_FIELDS]),
-            cm.UsageProfile(**usage),
-            cm.ResidualAndFinance(*[v[f] for f in FINANCE_FIELDS]),
-            cm.MarketPrices(v.get("ev_price", 0.0), v.get("icev_price", 0.0),
-                            v["common_base_cost"]),
-            v.get("ev_price_margin"), v.get("icev_price_margin"),
-            int(v.get("consumer_battery_replacements", 0)))
+        return cm.VehicleScenario(year, **v)
     except ValueError as exc:
         raise year_error(sched, year, exc) from exc
 
@@ -247,8 +234,8 @@ class PremiumSeries:
 
 def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
     """The three premiums, both LCODs and both TCOs of one resolved scenario."""
-    prod_ev = cm.production_cost_ev(sc.ev, sc.prices.common_base_cost)
-    prod_icev = cm.production_cost_icev(sc.icev, sc.prices.common_base_cost)
+    prod_ev = cm.production_cost_ev(sc)
+    prod_icev = cm.production_cost_icev(sc)
     tco_ev = cm.tco_npv(sc, cm.VehicleKind.EV)
     tco_icev = cm.tco_npv(sc, cm.VehicleKind.ICEV)
     return PremiumPoint(
@@ -256,8 +243,8 @@ def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
         production=cm.production_premium(prod_ev, prod_icev),
         acquisition=cm.acquisition_premium(sc),
         lifecycle=cm.tco_premium(tco_ev, tco_icev),
-        lcod_ev=cm.lcod(tco_ev, sc.usage),
-        lcod_icev=cm.lcod(tco_icev, sc.usage),
+        lcod_ev=cm.lcod(tco_ev, sc),
+        lcod_icev=cm.lcod(tco_icev, sc),
         tco_ev=tco_ev,
         tco_icev=tco_icev,
     )

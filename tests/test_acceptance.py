@@ -97,15 +97,15 @@ def tax_rate_closed_form(sc):
     So E(t) = E0 - (t - t0) * P_ev (exempt) or E0, and I(t) = I0 + (t - t0) *
     P_icev, whence d/dt (E/I - 1) < 0 for any positive costs.
     """
-    t0 = sc.policy.purchase_tax_rate
+    t0 = sc.purchase_tax_rate
     ev0 = cm.tco_npv(sc, cm.VehicleKind.EV)
     icev0 = cm.tco_npv(sc, cm.VehicleKind.ICEV)
-    ev_slope = -sc.prices.ev_price if sc.policy.ev_tax_exempt else 0.0
+    ev_slope = -sc.ev_price if sc.ev_tax_exempt else 0.0
     base = ev0 / icev0 - 1.0
     points = []
     for pct in sn.PERTURBATIONS:
         dt = t0 * pct
-        moved = (ev0 + ev_slope * dt) / (icev0 + sc.prices.icev_price * dt) - 1.0
+        moved = (ev0 + ev_slope * dt) / (icev0 + sc.icev_price * dt) - 1.0
         points.append((pct, (moved - base) / abs(base)))
     return sum(x * y for x, y in points) / sum(x * x for x, _ in points)
 

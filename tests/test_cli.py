@@ -728,6 +728,29 @@ def test_fit_setting_that_overflows_the_squared_error_exits_1_naming_it(
 
 
 @pytest.mark.parametrize("command", ["fit", "compare"])
+@pytest.mark.parametrize("sales, message", [
+    ("5,5,5,5", "observations are all equal"),
+    ("0,0,0,1e-320", "observations vary too little"),
+], ids=["all-equal", "underflow"])
+def test_fit_with_undefined_r_squared_exits_1_before_fitting(tmp_path, capsys, monkeypatch,
+                                                             command, sales, message):
+    from greenpremium import fitting
+
+    def evaluate(self, genomes):
+        raise AssertionError("a genome was evaluated")
+    monkeypatch.setattr(fitting._FitProblem, "evaluate", evaluate)
+    data = tmp_path / "sales.csv"
+    data.write_text("year,annual_sales\n" + "".join(
+        f"{2015 + i},{s}\n" for i, s in enumerate(sales.split(","))))
+    out = tmp_path / "out.csv"
+    code = run([command, "--data", str(data), "--seed", "0", "--population", "20000",
+                "--generations", "200", "--no-early-stop", "--out", str(out)])
+    assert code == 1
+    assert f"error: R^2 undefined: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
 def test_m_value_with_free_m_mode_is_rejected(tmp_path, capsys, command):
     # --m-value is the one way to pin m; --m-mode is no longer an option.
     out = tmp_path / "out.csv"

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 import yaml
@@ -22,13 +23,37 @@ def _typed_entries(sched):
             for e in sched.entries]
 
 
-@pytest.mark.parametrize("name", config.BUILTIN_SCENARIOS)
-def test_both_yaml_loaders_build_equal_schedules(name, monkeypatch):
-    fast = config.load_schedule(name)
+# Numbers that YAML 1.1 reads as text: an exponent without a dot or without a sign.
+EXPONENT_FORMS = {"battery_unit_cost: 7500": "battery_unit_cost: 7.5e3",
+                  "motor_power: 200": "motor_power: 2E+2",
+                  "ev_maintenance: 2000": "ev_maintenance: 2e3",
+                  "icev_consumption: 9.7": "icev_consumption: 97e-1"}
+
+
+@pytest.mark.parametrize("name", [*config.BUILTIN_SCENARIOS, "exponents"])
+def test_both_yaml_loaders_build_equal_schedules(name, monkeypatch, tmp_path):
+    if name == "exponents":
+        text = config.scenario_path("long-range").read_text()
+        for decimal, exponent in EXPONENT_FORMS.items():
+            assert text.count(decimal + "\n") == 1
+            text = text.replace(decimal + "\n", exponent + "\n")
+        name = tmp_path / "exponents.yaml"
+        name.write_text(text)
+    fast = config.load_schedule(str(name))
     monkeypatch.setattr(config, "_Loader", yaml.SafeLoader)
-    slow = config.load_schedule(name)
+    slow = config.load_schedule(str(name))
     assert slow == fast
     assert _typed_entries(slow) == _typed_entries(fast)
+    if isinstance(name, str):
+        return
+    decimal = config.load_schedule("long-range").entries[0].overrides
+    for line in EXPONENT_FORMS:
+        key = line.split(":")[0]
+        value = fast.entries[0].overrides[key]
+        assert type(value) is float and value == decimal[key], key
+    # the loader classes themselves keep YAML 1.1's reading
+    for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        assert yaml.load("x: 7.5e3", Loader=loader) == {"x": "7.5e3"}
 
 
 def test_truncated_yaml_names_file_and_line(tmp_path, loader):
@@ -171,12 +196,17 @@ def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory)
     ("name: long-range", "name: [a, b]", r"bad\.yaml: name: expected a string, got \['a', 'b'\]$"),
     ("vehicle_class: long-range", "vehicle_class: 7",
      r"bad\.yaml: vehicle_class: expected a string, got 7$"),
+    ("battery_unit_cost: 7500", "battery_unit_cost: '7.5e3'",
+     "entry 2010: battery_unit_cost: expected a finite number, got '7.5e3'"),
+    ("battery_unit_cost: 7500", "battery_unit_cost: 1e400",
+     "entry 2010: battery_unit_cost: expected a finite number, got inf"),
 ], ids=["span-one-year", "span-scalar", "year-inf", "year-nan", "interpolation-null",
         "discount-rate-huge", "lifecycle-years-huge", "step-misspelt-key", "step-string",
         "lifecycle-years-fraction", "lifecycle-years-bool", "year-fraction", "span-fraction",
         "span-text", "battery-replacements-fraction", "flag-fraction", "flag-integer",
         "number-bool", "entries-mapping", "entries-scalar", "entry-scalar", "span-reversed",
-        "entry-without-year", "name-list", "vehicle-class-number"])
+        "entry-without-year", "name-list", "vehicle-class-number", "exponent-quoted",
+        "exponent-overflow"])
 def test_malformed_scenario_exits_1_naming_the_file(tmp_path, capsys, old, new, message):
     text = config.scenario_path("long-range").read_text()
     assert old in text
@@ -204,3 +234,36 @@ def test_integral_floats_load_as_their_integers(tmp_path):
         assert run(["premium-series", "--scenario", scenario, "--out", str(out)]) == 0
         outputs.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
     assert outputs[0] == outputs[1]
+
+
+@st.composite
+def _exponent_forms(draw):
+    """A number written with an exponent, as a YAML plain scalar, and the same
+    number written in decimal."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole = draw(st.integers(0, 99_999))
+    frac = draw(st.sampled_from(["", *(f".{d}" for d in ("0", "5", "25", "0625"))]))
+    exp = draw(st.integers(-4, 8))
+    exp_text = draw(st.sampled_from(["", "+"] if exp >= 0 else [""])) + str(exp)
+    mark = draw(st.sampled_from("eE"))
+    written = f"{sign}{whole}{frac}{mark}{exp_text}"
+    return written, format(Decimal(written), "f")
+
+
+@given(forms=_exponent_forms())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_exponent_forms_give_the_rows_of_their_decimal_value(forms, tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("exponent")
+    text = config.scenario_path("long-range").read_text()
+    assert text.count("battery_unit_cost: 7500\n") == 1
+    outputs = []
+    for i, written in enumerate(forms):
+        scenario = workdir / f"form{i}.yaml"
+        scenario.write_text(text.replace("battery_unit_cost: 7500\n",
+                                         f"battery_unit_cost: {written}\n"))
+        out = workdir / f"tco{i}.csv"
+        code = run(["tco", "--scenario", str(scenario), "--year", "2010", "--out", str(out)])
+        rows = ([l for l in out.read_text().splitlines() if not l.startswith("#")]
+                if code == 0 else None)
+        outputs.append((code, rows))
+    assert outputs[0] == outputs[1], forms

@@ -230,6 +230,25 @@ def test_ga_fit_preconditions(smooth_window):
         ga_fit(zeros, None, FitConfig())
 
 
+@pytest.mark.parametrize("sales, message", [
+    ((5.0, 5.0, 5.0, 5.0), "observations are all equal"),
+    ((0.0, 0.0, 0.0, 1e-320), "observations vary too little"),    # the squares underflow
+    ((0.0, 0.0, 0.0, 1e300), "squared deviations are not finite"),
+], ids=["all-equal", "underflow", "overflow"])
+def test_ga_fit_checks_r_squared_before_evaluating_a_genome(smooth_window, monkeypatch,
+                                                             sales, message):
+    def evaluate(self, genomes):
+        raise AssertionError("a genome was evaluated")
+    monkeypatch.setattr(fitting._FitProblem, "evaluate", evaluate)
+    obs = ObservationSeries(tuple((2015 + i, s) for i, s in enumerate(sales)))
+    for premiums in (None, smooth_window):
+        with pytest.raises(ValueError, match=f"R\\^2 undefined: {message}"):
+            ga_fit(obs, premiums, FitConfig(population_size=20_000, max_generations=200,
+                                            early_stop=False))
+    with pytest.raises(ValueError, match=f"R\\^2 undefined: {message}"):
+        r_squared(sales, sales)
+
+
 @pytest.mark.parametrize("setting, field", [
     ({"late_weight": math.nan}, "late_weight"),
     ({"late_weight": 0.0}, "late_weight"),

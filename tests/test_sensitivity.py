@@ -15,8 +15,8 @@ def factor_by_id(fid):
 def rebased_point(base, factor):
     """The factor's re-based scenario and its lifecycle premium, as `perturb` takes them."""
     sc = base
-    for path, value in factor.rebase.items():
-        sc = cm.replace_field(sc, path, value)
+    for name, value in factor.rebase.items():
+        sc = cm.replace_field(sc, name, value)
     return sc, cm.lifecycle_premium(sc)
 
 
@@ -29,10 +29,10 @@ def test_perturb_zero_pct_is_zero(lr_2021):
 
 def test_perturb_battery_800_plus_10pct(lr_2021):
     """Cross-check against a direct recomputation with the cost model."""
-    rebased = cm.replace_field(lr_2021, "ev.battery_unit_cost", 800.0)
+    rebased = cm.replace_field(lr_2021, "battery_unit_cost", 800.0)
     reference = cm.lifecycle_premium(rebased)
     moved = cm.lifecycle_premium(
-        cm.replace_field(rebased, "ev.battery_unit_cost", 880.0))
+        cm.replace_field(rebased, "battery_unit_cost", 880.0))
     expected = (moved - reference) / abs(reference)
     got = sn.perturb(rebased, reference, factor_by_id("battery_800"), 0.10)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -47,17 +47,17 @@ def test_perturb_subsidy_plus_20pct_sign(lr_2021):
 
 def test_perturb_degenerate_base_raises(lr_2021):
     # calibrate the gasoline price so both TCOs coincide: premium ~ 0
-    factor = sn.FactorSpec("probe", "usage.gasoline_price", "probe")
+    factor = sn.FactorSpec("probe", "gasoline_price", "probe")
     ev_tco = cm.tco_npv(lr_2021, cm.VehicleKind.EV)
     lo, hi = 2.0, 8.0
     for _ in range(80):
         mid = (lo + hi) / 2
-        sc = cm.replace_field(lr_2021, "usage.gasoline_price", mid)
+        sc = cm.replace_field(lr_2021, "gasoline_price", mid)
         if cm.tco_npv(sc, cm.VehicleKind.ICEV) > ev_tco:
             hi = mid
         else:
             lo = mid
-    balanced = cm.replace_field(lr_2021, "usage.gasoline_price", (lo + hi) / 2)
+    balanced = cm.replace_field(lr_2021, "gasoline_price", (lo + hi) / 2)
     assert abs(cm.lifecycle_premium(balanced)) < 1e-9
     rows, errors = sn.sensitivity_table(balanced, [factor])
     assert rows == []
@@ -114,13 +114,13 @@ def test_degenerate_rows_collected_not_fatal(lr_2021):
     lo, hi = 2.0, 12.0
     for _ in range(80):
         mid = (lo + hi) / 2
-        sc = cm.replace_field(lr_2021, "usage.icev_consumption", mid)
+        sc = cm.replace_field(lr_2021, "icev_consumption", mid)
         if cm.tco_npv(sc, cm.VehicleKind.ICEV) > ev_tco:
             hi = mid
         else:
             lo = mid
-    degenerate = sn.FactorSpec("balanced_fc", "usage.icev_consumption", "probe",
-                               "Cost", rebase={"usage.icev_consumption": (lo + hi) / 2})
+    degenerate = sn.FactorSpec("balanced_fc", "icev_consumption", "probe",
+                               "Cost", rebase={"icev_consumption": (lo + hi) / 2})
     rows, errors = sn.sensitivity_table(
         lr_2021, [factor_by_id("oil_price"), degenerate])
     assert [r.factor for r in rows] == ["oil_price"]
@@ -155,8 +155,8 @@ def test_battery_coefficient_shrinks_with_cheaper_base(lr_2021):
     does its influence on the premium."""
     coeffs = []
     for base_cost in (800.0, 650.0, 500.0):
-        factor = sn.FactorSpec("probe", "ev.battery_unit_cost", "probe",
-                               "Production", rebase={"ev.battery_unit_cost": base_cost})
+        factor = sn.FactorSpec("probe", "battery_unit_cost", "probe",
+                               "Production", rebase={"battery_unit_cost": base_cost})
         changes = [sn.perturb(*rebased_point(lr_2021, factor), factor, pct)
                    for pct in sn.PERTURBATIONS]
         coeffs.append(sn.coefficient(changes))
@@ -191,13 +191,13 @@ def _perturb_per_point(base, factor, pct, target):
     (replace_field itself is checked against dataclasses.replace in
     test_costmodel.)"""
     sc = base
-    for path, value in factor.rebase.items():
-        sc = cm.replace_field(sc, path, value)
+    for name, value in factor.rebase.items():
+        sc = cm.replace_field(sc, name, value)
     reference = sn._premium(sc, target)
     if abs(reference) < sn.DEGENERATE_BASE:
         raise _Degenerate(
             f"{factor.id}: base premium {reference:.2e} too small to normalise")
-    value = cm.get_field(sc, factor.accessor)
+    value = getattr(sc, factor.accessor)
     moved = sn._premium(cm.replace_field(sc, factor.accessor, value * (1.0 + pct)), target)
     return (moved - reference) / abs(reference)
 

@@ -77,14 +77,33 @@ def test_resolve_scenario_is_deterministic(long_range):
     first = tj.resolve_scenario(long_range, 2024)
     second = tj.resolve_scenario(long_range, 2024)
     assert first == second
-    assert first.prices.ev_price == second.prices.ev_price
+    assert first.ev_price == second.ev_price
 
 
 def test_resolve_derives_prices_from_margins(long_range):
     sc = tj.resolve_scenario(long_range, 2021)
-    production = cm.production_cost_ev(sc.ev, sc.prices.common_base_cost)
-    assert sc.prices.ev_price == pytest.approx(
+    production = cm.production_cost_ev(sc)
+    assert sc.ev_price == pytest.approx(
         (1 + sc.ev_price_margin) * production, rel=1e-12)
+
+
+def test_schedule_keys_are_the_snapshot_fields_in_their_order():
+    """A schedule's first entry is checked in this order, so a "missing"
+    error names the first absent key of this list."""
+    assert tj.ALL_FIELDS == (
+        "battery_unit_cost", "battery_capacity", "motor_unit_cost", "motor_power",
+        "other_hv_cost", "engine_intake_exhaust_cost", "transmission_cost",
+        "purchase_tax_rate", "ev_tax_exempt", "acquisition_subsidy", "credit_price",
+        "cafc_actual", "cafc_threshold", "nev_credits_actual", "nev_credits_threshold",
+        "lifecycle_years", "annual_km", "ev_consumption", "icev_consumption",
+        "electricity_price", "gasoline_price", "ev_maintenance", "icev_maintenance",
+        "ev_residual", "icev_residual", "discount_rate", "common_base_cost",
+        "ev_price", "ev_price_margin", "icev_price", "icev_price_margin",
+        "consumer_battery_replacements")
+    assert [f.name for f in dataclasses.fields(cm.VehicleScenario)] == ["year", *tj.ALL_FIELDS]
+    with pytest.raises(tj.ScheduleError, match="missing 'battery_capacity'"):
+        tj.ScenarioSchedule("bad", "x", (2010, 2030), entries=(
+            tj.ScheduleEntry(2010, {"battery_unit_cost": 820}),))
 
 
 def test_schedule_validation():
@@ -145,7 +164,7 @@ def test_evaluate_year_lifecycle_matches_lifecycle_premium(long_range, short_ran
 
 
 def test_evaluate_year_rejects_non_positive_icev_tco(lr_2021):
-    sc = cm.replace_field(lr_2021, "finance.icev_residual", 1e9)
+    sc = cm.replace_field(lr_2021, "icev_residual", 1e9)
     with pytest.raises(cm.DomainError, match="ICEV TCO must be positive"):
         tj.evaluate_year(sc)
 
@@ -225,12 +244,7 @@ def _bits(value):
 
 
 def _snapshot_bits(sc):
-    return [(name, _bits(getattr(member, name)))
-            for member in (sc.ev, sc.icev, sc.policy, sc.usage, sc.finance, sc.prices)
-            for name in member.__dataclass_fields__] + [
-        (name, _bits(getattr(sc, name)))
-        for name in ("year", "ev_price_margin", "icev_price_margin",
-                     "consumer_battery_replacements")]
+    return [(name, _bits(getattr(sc, name))) for name in sc.__dataclass_fields__]
 
 
 def _value_at_reference(sched, field_name, year):
@@ -260,29 +274,24 @@ def _resolve_field_by_field(sched, year):
         return _value_at_reference(sched, name, year)
 
     first = sched.entries[0].overrides
-    usage = [val(f) for f in tj.USAGE_FIELDS]
-    usage[0] = int(usage[0])
     ev_margin = val("ev_price_margin") if "ev_price_margin" in first else None
     icev_margin = val("icev_price_margin") if "icev_price_margin" in first else None
+    optional = sum(tj.PRICE_KEYS, tj.OPTIONAL_FIELDS)
+    values = {f: val(f) for f in tj.ALL_FIELDS if f not in optional}
+    values["lifecycle_years"] = int(values["lifecycle_years"])
     sc = cm.VehicleScenario(
-        year=year, ev=cm.EvPowertrain(*(val(f) for f in tj.EV_FIELDS)),
-        icev=cm.IcevPowertrain(*(val(f) for f in tj.ICEV_FIELDS)),
-        policy=cm.SubsidyPolicy(*(val(f) for f in tj.POLICY_FIELDS)),
-        usage=cm.UsageProfile(*usage),
-        finance=cm.ResidualAndFinance(*(val(f) for f in tj.FINANCE_FIELDS)),
-        prices=cm.MarketPrices(0.0 if ev_margin is not None else val("ev_price"),
-                               0.0 if icev_margin is not None else val("icev_price"),
-                               val("common_base_cost")),
+        year=year, **values,
+        ev_price=0.0 if ev_margin is not None else val("ev_price"),
+        icev_price=0.0 if icev_margin is not None else val("icev_price"),
         ev_price_margin=ev_margin, icev_price_margin=icev_margin,
         consumer_battery_replacements=(int(val("consumer_battery_replacements"))
                                        if "consumer_battery_replacements" in first else 0))
-    base = sc.prices.common_base_cost
-    ev_price, icev_price = sc.prices.ev_price, sc.prices.icev_price
+    ev_price, icev_price = sc.ev_price, sc.icev_price
     if ev_margin is not None:
-        ev_price = (1.0 + ev_margin) * cm.production_cost_ev(sc.ev, base)
+        ev_price = (1.0 + ev_margin) * cm.production_cost_ev(sc)
     if icev_margin is not None:
-        icev_price = (1.0 + icev_margin) * cm.production_cost_icev(sc.icev, base)
-    return dataclasses.replace(sc, prices=cm.MarketPrices(ev_price, icev_price, base))
+        icev_price = (1.0 + icev_margin) * cm.production_cost_icev(sc)
+    return dataclasses.replace(sc, ev_price=ev_price, icev_price=icev_price)
 
 
 @pytest.mark.parametrize("name", ["long-range", "short-range", "battery-only"])
@@ -339,7 +348,7 @@ def test_schedule_accepts_integral_floats_for_integer_fields():
     sched = tj.ScenarioSchedule("ok", "x", (2010, 2030),
                                 entries=(tj.ScheduleEntry(2010, whole),))
     sc = tj.resolve_scenario(sched, 2015)
-    assert _bits(sc.usage.lifecycle_years) == _bits(10)
+    assert _bits(sc.lifecycle_years) == _bits(10)
     assert _bits(sc.consumer_battery_replacements) == _bits(2)
 
 
@@ -348,4 +357,4 @@ def test_evaluate_returns_the_tcos_evaluate_year_used(lr_2021):
     assert point.tco_ev == cm.tco_npv(lr_2021, cm.VehicleKind.EV)
     assert point.tco_icev == cm.tco_npv(lr_2021, cm.VehicleKind.ICEV)
     assert point.lifecycle == cm.tco_premium(point.tco_ev, point.tco_icev)
-    assert point.lcod_ev == cm.lcod(point.tco_ev, lr_2021.usage)
+    assert point.lcod_ev == cm.lcod(point.tco_ev, lr_2021)
