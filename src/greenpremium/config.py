@@ -69,9 +69,9 @@ def scenario_path(ref: str) -> Path:
 def _unique_keys(loader: type) -> type:
     """`loader`, except that a key repeated in one mapping is an error where
     PyYAML keeps the last value, and that a plain number with an exponent
-    reads as a float even without a dot or an exponent sign (7.5e3, 1e3,
-    2E+4), where YAML 1.1 reads it as text. A key may still override a
-    merged (<<) one."""
+    reads as a float where YAML 1.1 reads it as text: without a dot or an
+    exponent sign, or with no digit on one side of the dot (7.5e3, 1e3,
+    2E+4, .5e3, 7.e3). A key may still override a merged (<<) one."""
     class UniqueKeyLoader(loader):
         def construct_mapping(self, node, deep=False):
             own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
@@ -86,8 +86,9 @@ def _unique_keys(loader: type) -> type:
                         f"found duplicate key {key!r}", own[i].start_mark)
             return mapping
     UniqueKeyLoader.add_implicit_resolver(     # copies the resolver table first
-        "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
-        list("-+0123456789"))
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
     return UniqueKeyLoader
 
 

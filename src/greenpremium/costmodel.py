@@ -131,10 +131,13 @@ class VehicleScenario:
 def replace_field(sc: VehicleScenario, name: str, value) -> VehicleScenario:
     """A copy of `sc` with schedule field `name` set to `value`, as
     `dataclasses.replace` makes it: the checks run again and margin-set
-    prices are derived again. `year` is not a schedule field."""
+    prices are derived again. `year` is not a schedule field, and a price
+    that its margin derives cannot be set: a ValueError names the margin."""
     values = sc.__dict__.copy()
     if name == "year" or name not in values:
         raise TypeError(f"VehicleScenario has no field {name!r} among the schedule keys")
+    if name in ("ev_price", "icev_price") and values[f"{name}_margin"] is not None:
+        raise ValueError(f"{name} is derived from {name}_margin; set the margin instead")
     values[name] = value
     moved = object.__new__(VehicleScenario)
     moved.__dict__.update(values)
@@ -155,13 +158,6 @@ def production_cost_ev(sc: VehicleScenario) -> float:
 def production_cost_icev(sc: VehicleScenario) -> float:
     """Total ICEV production cost: shared base + engine system + transmission."""
     return sc.common_base_cost + sc.engine_intake_exhaust_cost + sc.transmission_cost
-
-
-def production_premium(ev_cost: float, icev_cost: float) -> float:
-    """Relative production-cost gap (EV - ICEV) / ICEV."""
-    if icev_cost == 0:
-        raise DomainError("production premium undefined for zero ICEV cost")
-    return (ev_cost - icev_cost) / icev_cost
 
 
 # --- acquisition stage --------------------------------------------------
@@ -189,14 +185,6 @@ def effective_acquisition_cost(sc: VehicleScenario, kind: VehicleKind) -> float:
     return sc.icev_price + cafc_compliance_cost(sc) + sc.purchase_tax_rate * sc.icev_price
 
 
-def acquisition_premium(sc: VehicleScenario) -> float:
-    """Relative gap in effective acquisition cost, EV vs ICEV."""
-    icev_eff = effective_acquisition_cost(sc, VehicleKind.ICEV)
-    if icev_eff == 0:
-        raise DomainError("acquisition premium undefined: ICEV effective cost is zero")
-    return (effective_acquisition_cost(sc, VehicleKind.EV) - icev_eff) / icev_eff
-
-
 # --- ownership stage ----------------------------------------------------
 
 def annual_operating_cost(sc: VehicleScenario, kind: VehicleKind) -> float:
@@ -214,33 +202,21 @@ def tco_npv(sc: VehicleScenario, kind: VehicleKind) -> float:
     enabled, are priced at the current pack cost and spread evenly over the
     ownership period.
     """
-    r = sc.discount_rate
+    compound = 1.0 + sc.discount_rate
     n = sc.lifecycle_years
     operating = annual_operating_cost(sc, kind)
     residual = sc.ev_residual if kind is VehicleKind.EV else sc.icev_residual
     total = effective_acquisition_cost(sc, kind)
     for t in range(1, n + 1):
-        total += operating / (1.0 + r) ** t
+        total += operating / compound ** t
     if kind is VehicleKind.EV and sc.consumer_battery_replacements > 0:
         count = sc.consumer_battery_replacements
         pack_cost = sc.battery_unit_cost * sc.battery_capacity
         for k in range(1, count + 1):
             event_year = max(1, round(k * n / (count + 1)))
-            total += pack_cost / (1.0 + r) ** event_year
-    total -= residual / (1.0 + r) ** n
+            total += pack_cost / compound ** event_year
+    total -= residual / compound ** n
     return total
-
-
-def tco_premium(ev_tco: float, icev_tco: float) -> float:
-    """Relative gap in lifecycle NPV cost (EV - ICEV) / ICEV."""
-    if icev_tco <= 0:
-        raise DomainError("lifecycle premium undefined: ICEV TCO must be positive")
-    return (ev_tco - icev_tco) / icev_tco
-
-
-def lifecycle_premium(sc: VehicleScenario) -> float:
-    """Relative gap in lifecycle NPV cost, EV vs ICEV."""
-    return tco_premium(tco_npv(sc, VehicleKind.EV), tco_npv(sc, VehicleKind.ICEV))
 
 
 def lcod(tco: float, sc: VehicleScenario) -> float:
@@ -249,3 +225,31 @@ def lcod(tco: float, sc: VehicleScenario) -> float:
     if lifetime_km == 0:
         raise DomainError("LCOD undefined for zero lifetime distance")
     return tco / lifetime_km
+
+
+# --- the green premium, at every stage ------------------------------------
+
+# Why each premium is undefined: the ICEV cost it divides by is not positive.
+_UNDEFINED: dict[PremiumKind, str] = {
+    "production": "production premium undefined for zero ICEV cost",
+    "acquisition": "acquisition premium undefined: ICEV effective cost is zero",
+    "lifecycle": "lifecycle premium undefined: ICEV TCO must be positive",
+}
+
+
+def stage_costs(sc: VehicleScenario, kind: PremiumKind) -> tuple[float, float]:
+    """The (EV, ICEV) costs the `kind` premium compares: production costs,
+    effective acquisition costs or lifecycle TCOs."""
+    if kind == "production":
+        return production_cost_ev(sc), production_cost_icev(sc)
+    if kind == "acquisition":
+        return (effective_acquisition_cost(sc, VehicleKind.EV),
+                effective_acquisition_cost(sc, VehicleKind.ICEV))
+    return tco_npv(sc, VehicleKind.EV), tco_npv(sc, VehicleKind.ICEV)
+
+
+def premium(kind: PremiumKind, ev_cost: float, icev_cost: float) -> float:
+    """The `kind` green premium, the relative cost gap (EV - ICEV) / ICEV."""
+    if icev_cost <= 0:
+        raise DomainError(_UNDEFINED[kind])
+    return (ev_cost - icev_cost) / icev_cost

@@ -3,9 +3,9 @@
 The annual recursion, written once in `flows`, is
     n(t) = min(m - N, max(0, (p*(m - N) + q*(N/m)*(m - N)) * x(t)))
     N(t+1) = N(t) + n(t)
-where x(t) = 1 + beta * lifecycle_premium(t) when a premium series is
-supplied and 1 otherwise. Large positive premiums with beta < 0 can push
-x(t) negative; flows are clamped at zero rather than allowing disadoption.
+where x(t) = 1 + beta * P(t), P being the lifecycle premium, when a premium
+series is supplied and 1 otherwise. Large positive premiums with beta < 0 can
+push x(t) negative; flows are clamped at zero rather than allowing disadoption.
 This is the generalized Bass model (Bass, Krishnan & Jain 1994).
 
 Units follow the calibration data: vehicles are counted in thousands.

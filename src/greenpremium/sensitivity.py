@@ -12,8 +12,8 @@ squares over the four points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from . import costmodel as cm
 
@@ -29,7 +29,7 @@ class FactorSpec:
     accessor: str                       # VehicleScenario field name
     base_label: str
     group: str = "Cost"
-    rebase: Mapping[str, float] = field(default_factory=dict)
+    base: float | None = None           # the field's re-based value, if any
 
 
 @dataclass(frozen=True)
@@ -41,21 +41,13 @@ class SensitivityRow:
     coefficient: float
 
 
-def _premium(sc: cm.VehicleScenario, target: cm.PremiumKind) -> float:
-    if target == "production":
-        return cm.production_premium(cm.production_cost_ev(sc), cm.production_cost_icev(sc))
-    if target == "acquisition":
-        return cm.acquisition_premium(sc)
-    return cm.lifecycle_premium(sc)
-
-
 def perturb(sc: cm.VehicleScenario, premium: float, factor: FactorSpec, pct: float,
             target: cm.PremiumKind = "lifecycle") -> float:
     """(premium(moved) - premium) / |premium| when the factor's field of `sc`, its
     re-based scenario whose `target` premium is `premium`, moves by `pct`."""
     value = getattr(sc, factor.accessor)
-    moved = _premium(cm.replace_field(sc, factor.accessor, value * (1.0 + pct)), target)
-    return (moved - premium) / abs(premium)
+    moved = cm.replace_field(sc, factor.accessor, value * (1.0 + pct))
+    return (cm.premium(target, *cm.stage_costs(moved, target)) - premium) / abs(premium)
 
 
 def coefficient(changes: Sequence[float]) -> float:
@@ -80,10 +72,9 @@ def sensitivity_table(base: cm.VehicleScenario, factors: Sequence[FactorSpec],
     errors: dict[str, str] = {}
     for factor in factors:
         try:
-            sc = base
-            for name, value in factor.rebase.items():
-                sc = cm.replace_field(sc, name, value)
-            premium = _premium(sc, target)
+            sc = base if factor.base is None else cm.replace_field(
+                base, factor.accessor, factor.base)
+            premium = cm.premium(target, *cm.stage_costs(sc, target))
             if abs(premium) < DEGENERATE_BASE:
                 errors[factor.id] = (f"{factor.id}: base premium {premium:.2e} "
                                      "too small to normalise")
@@ -108,19 +99,14 @@ def default_factors() -> tuple[FactorSpec, ...]:
     costs (fuel consumption evaluated at 6 and 4 L/100km baselines), and
     residual/financing terms."""
     return (
-        FactorSpec("battery_800", "battery_unit_cost", "Battery (800)",
-                   "Production", rebase={"battery_unit_cost": 800.0}),
-        FactorSpec("battery_650", "battery_unit_cost", "Battery (650)",
-                   "Production", rebase={"battery_unit_cost": 650.0}),
-        FactorSpec("battery_500", "battery_unit_cost", "Battery (500)",
-                   "Production", rebase={"battery_unit_cost": 500.0}),
+        FactorSpec("battery_800", "battery_unit_cost", "Battery (800)", "Production", base=800.0),
+        FactorSpec("battery_650", "battery_unit_cost", "Battery (650)", "Production", base=650.0),
+        FactorSpec("battery_500", "battery_unit_cost", "Battery (500)", "Production", base=500.0),
         FactorSpec("credit", "credit_price", "Credit", "Subsidy"),
         FactorSpec("tax_rate", "purchase_tax_rate", "Tax Rate (10%)", "Subsidy"),
         FactorSpec("subsidy", "acquisition_subsidy", "Subsidy", "Subsidy"),
-        FactorSpec("oil_cost_6l", "icev_consumption", "Oil Cost (6L)",
-                   "Cost", rebase={"icev_consumption": 6.0}),
-        FactorSpec("oil_cost_4l", "icev_consumption", "Oil Cost (4L)",
-                   "Cost", rebase={"icev_consumption": 4.0}),
+        FactorSpec("oil_cost_6l", "icev_consumption", "Oil Cost (6L)", "Cost", base=6.0),
+        FactorSpec("oil_cost_4l", "icev_consumption", "Oil Cost (4L)", "Cost", base=4.0),
         FactorSpec("elec_cost", "ev_consumption", "Elec Cost (13kWh)", "Cost"),
         FactorSpec("annual_range", "annual_km", "Range (15000)", "Cost"),
         FactorSpec("elec_price", "electricity_price", "Elec Price (1.2)", "Cost"),

@@ -234,15 +234,14 @@ class PremiumSeries:
 
 def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:
     """The three premiums, both LCODs and both TCOs of one resolved scenario."""
-    prod_ev = cm.production_cost_ev(sc)
-    prod_icev = cm.production_cost_icev(sc)
-    tco_ev = cm.tco_npv(sc, cm.VehicleKind.EV)
-    tco_icev = cm.tco_npv(sc, cm.VehicleKind.ICEV)
+    production = cm.premium("production", *cm.stage_costs(sc, "production"))
+    acquisition = cm.premium("acquisition", *cm.stage_costs(sc, "acquisition"))
+    tco_ev, tco_icev = cm.stage_costs(sc, "lifecycle")
     return PremiumPoint(
         year=sc.year,
-        production=cm.production_premium(prod_ev, prod_icev),
-        acquisition=cm.acquisition_premium(sc),
-        lifecycle=cm.tco_premium(tco_ev, tco_icev),
+        production=production,
+        acquisition=acquisition,
+        lifecycle=cm.premium("lifecycle", tco_ev, tco_icev),
         lcod_ev=cm.lcod(tco_ev, sc),
         lcod_icev=cm.lcod(tco_icev, sc),
         tco_ev=tco_ev,

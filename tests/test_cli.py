@@ -151,6 +151,21 @@ def test_domain_error_while_a_year_evaluates_names_file_and_year(tmp_path, capsy
     assert not out.exists()
 
 
+ICEV_COSTS = r"(engine_intake_exhaust_cost|transmission_cost|common_base_cost): \d+"
+
+
+def test_zero_icev_cost_exits_1_on_the_production_premium_first(tmp_path, capsys):
+    """With no ICEV production cost the production premium, priced first, is undefined."""
+    text = config.scenario_path("long-range").read_text()
+    bad = tmp_path / "zero_icev.yaml"
+    bad.write_text(re.sub(ICEV_COSTS, r"\1: 0", text))
+    out = tmp_path / "out.csv"
+    assert run(["tco", "--year", "2021", "--scenario", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: {bad}: year 2021: production premium undefined for zero ICEV cost\n")
+    assert not out.exists()
+
+
 def test_sensitivity_row_that_is_not_finite_exits_1_naming_file_year_and_factor(
         tmp_path, capsys):
     # The base year evaluates, but +20% of the EV residual overflows.

@@ -23,11 +23,16 @@ def _typed_entries(sched):
             for e in sched.entries]
 
 
-# Numbers that YAML 1.1 reads as text: an exponent without a dot or without a sign.
+# Numbers that YAML 1.1 reads as text: an exponent without a dot, without a
+# sign, or with no digit on one side of the dot.
 EXPONENT_FORMS = {"battery_unit_cost: 7500": "battery_unit_cost: 7.5e3",
                   "motor_power: 200": "motor_power: 2E+2",
                   "ev_maintenance: 2000": "ev_maintenance: 2e3",
-                  "icev_consumption: 9.7": "icev_consumption: 97e-1"}
+                  "icev_consumption: 9.7": "icev_consumption: 97e-1",
+                  "other_hv_cost: 15000": "other_hv_cost: .15e5",
+                  "icev_maintenance: 7000": "icev_maintenance: +7.E3",
+                  "acquisition_subsidy: 60000": "acquisition_subsidy: 6.e4",
+                  "ev_residual: 35000": "ev_residual: +.35E+5"}
 
 
 @pytest.mark.parametrize("name", [*config.BUILTIN_SCENARIOS, "exponents"])
@@ -54,6 +59,7 @@ def test_both_yaml_loaders_build_equal_schedules(name, monkeypatch, tmp_path):
     # the loader classes themselves keep YAML 1.1's reading
     for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         assert yaml.load("x: 7.5e3", Loader=loader) == {"x": "7.5e3"}
+        assert yaml.load("x: .5e3", Loader=loader) == {"x": ".5e3"}
 
 
 def test_truncated_yaml_names_file_and_line(tmp_path, loader):
@@ -200,13 +206,20 @@ def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory)
      "entry 2010: battery_unit_cost: expected a finite number, got '7.5e3'"),
     ("battery_unit_cost: 7500", "battery_unit_cost: 1e400",
      "entry 2010: battery_unit_cost: expected a finite number, got inf"),
+    ("battery_unit_cost: 7500", "battery_unit_cost: .e3",
+     "entry 2010: battery_unit_cost: expected a finite number, got '.e3'"),
+    ("battery_unit_cost: 7500", "battery_unit_cost: 1.2.3e4",
+     "entry 2010: battery_unit_cost: expected a finite number, got '1.2.3e4'"),
+    ("battery_unit_cost: 7500", "battery_unit_cost: '.5e3'",
+     "entry 2010: battery_unit_cost: expected a finite number, got '.5e3'"),
 ], ids=["span-one-year", "span-scalar", "year-inf", "year-nan", "interpolation-null",
         "discount-rate-huge", "lifecycle-years-huge", "step-misspelt-key", "step-string",
         "lifecycle-years-fraction", "lifecycle-years-bool", "year-fraction", "span-fraction",
         "span-text", "battery-replacements-fraction", "flag-fraction", "flag-integer",
         "number-bool", "entries-mapping", "entries-scalar", "entry-scalar", "span-reversed",
         "entry-without-year", "name-list", "vehicle-class-number", "exponent-quoted",
-        "exponent-overflow"])
+        "exponent-overflow", "exponent-no-digits", "exponent-two-dots",
+        "exponent-quoted-leading-dot"])
 def test_malformed_scenario_exits_1_naming_the_file(tmp_path, capsys, old, new, message):
     text = config.scenario_path("long-range").read_text()
     assert old in text
@@ -241,8 +254,10 @@ def _exponent_forms(draw):
     """A number written with an exponent, as a YAML plain scalar, and the same
     number written in decimal."""
     sign = draw(st.sampled_from(["", "+", "-"]))
-    whole = draw(st.integers(0, 99_999))
-    frac = draw(st.sampled_from(["", *(f".{d}" for d in ("0", "5", "25", "0625"))]))
+    whole = draw(st.sampled_from(["", str(draw(st.integers(0, 99_999)))]))
+    fracs = [f".{d}" for d in ("0", "5", "25", "0625")]
+    # a dot needs a digit on one side at least: 7.e3 and .5e3, never .e3
+    frac = draw(st.sampled_from([*fracs, "", "."] if whole else fracs))
     exp = draw(st.integers(-4, 8))
     exp_text = draw(st.sampled_from(["", "+"] if exp >= 0 else [""])) + str(exp)
     mark = draw(st.sampled_from("eE"))

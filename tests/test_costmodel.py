@@ -39,6 +39,11 @@ def keys(names, *values):
     return dict(zip(names.split(), values, strict=True))
 
 
+def priced(sc, kind):
+    """The `kind` premium of `sc`, priced from its stage costs."""
+    return cm.premium(kind, *cm.stage_costs(sc, kind))
+
+
 # --- production costs and premium ----------------------------------------
 
 def test_production_cost_ev_powertrain_only():
@@ -63,22 +68,29 @@ def test_production_cost_icev():
 
 
 def test_production_premium_2021_level():
-    assert cm.production_premium(175_000, 121_500) == pytest.approx(0.4403, abs=5e-4)
+    assert cm.premium("production", 175_000, 121_500) == pytest.approx(0.4403, abs=5e-4)
 
 
 def test_production_premium_identity():
-    assert cm.production_premium(123_456.0, 123_456.0) == 0
+    assert cm.premium("production", 123_456.0, 123_456.0) == 0
 
 
 def test_production_premium_powertrain_only_is_misleadingly_large():
     # without the shared base cost the gap triples, which is why the base
     # cost is part of the model
-    assert cm.production_premium(80_500, 27_000) == pytest.approx(1.9815, abs=5e-4)
+    assert cm.premium("production", 80_500, 27_000) == pytest.approx(1.9815, abs=5e-4)
 
 
-def test_production_premium_zero_denominator():
-    with pytest.raises(cm.DomainError):
-        cm.production_premium(1.0, 0.0)
+@pytest.mark.parametrize("kind, message", [
+    ("production", "production premium undefined for zero ICEV cost"),
+    ("acquisition", "acquisition premium undefined: ICEV effective cost is zero"),
+    ("lifecycle", "lifecycle premium undefined: ICEV TCO must be positive"),
+], ids=["production", "acquisition", "lifecycle"])
+def test_premium_zero_denominator(kind, message):
+    for icev_cost in (0.0, -0.0, -1.0):
+        with pytest.raises(cm.DomainError) as raised:
+            cm.premium(kind, 1.0, icev_cost)
+        assert str(raised.value) == message
 
 
 # --- subsidies and compliance ---------------------------------------------
@@ -121,15 +133,15 @@ def test_acquisition_premium_2021_calibrated():
     # ICEV 164997*1.1 + 220 = 181716.7
     sc = scenario_2021()
     expected = (215_972.25 - 181_716.7) / 181_716.7
-    assert cm.acquisition_premium(sc) == pytest.approx(expected, rel=1e-12)
-    assert cm.acquisition_premium(sc) == pytest.approx(0.18851, abs=1e-4)
+    assert priced(sc, "acquisition") == pytest.approx(expected, rel=1e-12)
+    assert priced(sc, "acquisition") == pytest.approx(0.18851, abs=1e-4)
 
 
 def test_acquisition_premium_identical_prices_zero_policy():
     sc = scenario_2021(
         **keys(POLICY, 0, False, 0, 0, 0, 0, 0, 0),
         ev_price=150_000, icev_price=150_000, common_base_cost=94_500)
-    assert cm.acquisition_premium(sc) == 0
+    assert priced(sc, "acquisition") == 0
 
 
 def test_acquisition_premium_rises_when_support_ends():
@@ -137,7 +149,7 @@ def test_acquisition_premium_rises_when_support_ends():
     # 2023-style policy (credits only)
     supported = scenario_2021(**keys(POLICY, 0.10, True, 12_600, 2000, 6.49, 6.38, 5.1, 0))
     withdrawn = scenario_2021(**keys(POLICY, 0.10, False, 0, 2000, 6.49, 6.38, 5.1, 0))
-    assert cm.acquisition_premium(withdrawn) > cm.acquisition_premium(supported)
+    assert priced(withdrawn, "acquisition") > priced(supported, "acquisition")
 
 
 # --- operating cost ---------------------------------------------------------
@@ -230,7 +242,7 @@ def test_tco_oracle_equivalence_long_lifecycles():
 # --- lifecycle premium and LCOD ---------------------------------------------
 
 def test_lifecycle_premium_2021_calibrated(lr_2021):
-    assert cm.lifecycle_premium(lr_2021) == pytest.approx(-0.1546, abs=1e-3)
+    assert priced(lr_2021, "lifecycle") == pytest.approx(-0.1546, abs=1e-3)
 
 
 def test_lifecycle_premium_equal_tcos():
@@ -239,13 +251,13 @@ def test_lifecycle_premium_equal_tcos():
         **keys(USAGE, 10, 15000, 13, 13, 1.2, 1.2, 4000, 4000),
         **keys(FINANCE, 50000, 50000, 0.05),
         ev_price=160_000, icev_price=160_000, common_base_cost=94_500)
-    assert cm.lifecycle_premium(sc) == 0
+    assert priced(sc, "lifecycle") == 0
 
 
 def test_lifecycle_premium_2010_strongly_positive(long_range):
     from greenpremium import trajectory as tj
     sc = tj.resolve_scenario(long_range, 2010)
-    assert cm.lifecycle_premium(sc) > 1.0
+    assert priced(sc, "lifecycle") > 1.0
 
 
 def test_lcod_simple_division():
@@ -268,7 +280,7 @@ def test_lcod_zero_km():
 def test_lifecycle_premium_equals_lcod_ratio(lr_2021):
     lcod_ev = cm.lcod(cm.tco_npv(lr_2021, VehicleKind.EV), lr_2021)
     lcod_icev = cm.lcod(cm.tco_npv(lr_2021, VehicleKind.ICEV), lr_2021)
-    assert cm.lifecycle_premium(lr_2021) == pytest.approx(
+    assert priced(lr_2021, "lifecycle") == pytest.approx(
         lcod_ev / lcod_icev - 1, abs=1e-12)
 
 
@@ -296,14 +308,14 @@ def scale_currency(sc, k):
 def test_currency_homogeneity(k):
     sc = scenario_2021()
     scaled = scale_currency(sc, k)
-    assert cm.production_premium(
-        cm.production_cost_ev(scaled), cm.production_cost_icev(scaled),
-    ) == pytest.approx(cm.production_premium(
-        cm.production_cost_ev(sc), cm.production_cost_icev(sc)), rel=1e-9)
-    assert cm.acquisition_premium(scaled) == pytest.approx(
-        cm.acquisition_premium(sc), rel=1e-9)
-    assert cm.lifecycle_premium(scaled) == pytest.approx(
-        cm.lifecycle_premium(sc), rel=1e-9)
+    assert cm.premium(
+        "production", cm.production_cost_ev(scaled), cm.production_cost_icev(scaled),
+    ) == pytest.approx(cm.premium(
+        "production", cm.production_cost_ev(sc), cm.production_cost_icev(sc)), rel=1e-9)
+    assert priced(scaled, "acquisition") == pytest.approx(
+        priced(sc, "acquisition"), rel=1e-9)
+    assert priced(scaled, "lifecycle") == pytest.approx(
+        priced(sc, "lifecycle"), rel=1e-9)
     assert cm.tco_npv(scaled, VehicleKind.EV) == pytest.approx(
         k * cm.tco_npv(sc, VehicleKind.EV), rel=1e-9)
 
@@ -319,7 +331,7 @@ def test_lcod_tco_consistency_random_scenarios(data):
     sc = cm.replace_field(sc, "gasoline_price", gasoline)
     lcod_ratio = (cm.lcod(cm.tco_npv(sc, VehicleKind.EV), sc)
                   / cm.lcod(cm.tco_npv(sc, VehicleKind.ICEV), sc))
-    assert cm.lifecycle_premium(sc) == pytest.approx(lcod_ratio - 1, abs=1e-12)
+    assert priced(sc, "lifecycle") == pytest.approx(lcod_ratio - 1, abs=1e-12)
 
 
 def derived_scenario(**overrides):
@@ -334,28 +346,28 @@ def test_monotonic_in_battery_cost():
     dear = derived_scenario(battery_unit_cost=900.0)
 
     def dp1(s):
-        return cm.production_premium(cm.production_cost_ev(s), cm.production_cost_icev(s))
+        return cm.premium("production", cm.production_cost_ev(s), cm.production_cost_icev(s))
 
     assert dp1(dear) > dp1(cheap)
-    assert cm.lifecycle_premium(dear) > cm.lifecycle_premium(cheap)
+    assert priced(dear, "lifecycle") > priced(cheap, "lifecycle")
 
 
 def test_monotonic_in_gasoline_price():
     cheap_fuel = derived_scenario(gasoline_price=6.0)
     dear_fuel = derived_scenario(gasoline_price=9.0)
-    assert cm.lifecycle_premium(dear_fuel) < cm.lifecycle_premium(cheap_fuel)
+    assert priced(dear_fuel, "lifecycle") < priced(cheap_fuel, "lifecycle")
 
 
 def test_monotonic_in_ev_residual():
     low = derived_scenario(ev_residual=30000.0)
     high = derived_scenario(ev_residual=40000.0)
-    assert cm.lifecycle_premium(high) < cm.lifecycle_premium(low)
+    assert priced(high, "lifecycle") < priced(low, "lifecycle")
 
 
 def test_policy_removal_never_lowers_acquisition_premium():
     subsidized = scenario_2021()
     stripped = scenario_2021(**keys(POLICY, 0.0, False, 0, 0, 0, 0, 0, 0))
-    assert cm.acquisition_premium(stripped) >= cm.acquisition_premium(subsidized)
+    assert priced(stripped, "acquisition") >= priced(subsidized, "acquisition")
 
 
 def test_consumer_battery_replacements_default_off():
@@ -407,7 +419,9 @@ def _sensitivity_paths():
     from greenpremium import sensitivity as sn
     paths = {}
     for factor in sn.default_factors():
-        paths.setdefault(factor.accessor, set()).update(factor.rebase.values())
+        paths.setdefault(factor.accessor, set())
+        if factor.base is not None:
+            paths[factor.accessor].add(factor.base)
     return paths
 
 
@@ -422,6 +436,11 @@ def test_replace_field_equals_dataclasses_replace_for_every_factor(long_range, m
         for name, rebases in paths.items():
             current = getattr(sc, name)
             for value in (*rebases, current, current * 0.8, current * 1.2, 0.0):
+                if margins and name in ("ev_price", "icev_price"):
+                    # dataclasses.replace would drop the value for the derived one
+                    with pytest.raises(ValueError, match=f"from {name}_margin"):
+                        cm.replace_field(sc, name, value)
+                    continue
                 got = cm.replace_field(sc, name, value)
                 want = dataclasses.replace(sc, **{name: value})
                 assert got == want
@@ -460,6 +479,16 @@ def test_replace_field_rejects_unknown_paths(lr_2021):
 def test_replace_field_takes_only_a_schedule_field(lr_2021, name):
     with pytest.raises(TypeError, match=f"no field {name!r}"):
         cm.replace_field(lr_2021, name, 1.0)
+
+
+@pytest.mark.parametrize("name", ["ev_price", "icev_price"])
+def test_replace_field_refuses_a_price_its_margin_derives(lr_2021, name):
+    assert getattr(lr_2021, f"{name}_margin") is not None
+    with pytest.raises(ValueError) as raised:
+        cm.replace_field(lr_2021, name, 1.0)
+    assert str(raised.value) == f"{name} is derived from {name}_margin; set the margin instead"
+    explicit = scenario_2021()
+    assert getattr(cm.replace_field(explicit, name, 1.0), name) == 1.0
 
 
 def test_replace_field_top_level_margin_rederives_prices(lr_2021):

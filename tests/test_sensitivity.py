@@ -14,10 +14,8 @@ def factor_by_id(fid):
 
 def rebased_point(base, factor):
     """The factor's re-based scenario and its lifecycle premium, as `perturb` takes them."""
-    sc = base
-    for name, value in factor.rebase.items():
-        sc = cm.replace_field(sc, name, value)
-    return sc, cm.lifecycle_premium(sc)
+    sc = base if factor.base is None else cm.replace_field(base, factor.accessor, factor.base)
+    return sc, cm.premium("lifecycle", *cm.stage_costs(sc, "lifecycle"))
 
 
 # --- perturb -----------------------------------------------------------------
@@ -30,9 +28,9 @@ def test_perturb_zero_pct_is_zero(lr_2021):
 def test_perturb_battery_800_plus_10pct(lr_2021):
     """Cross-check against a direct recomputation with the cost model."""
     rebased = cm.replace_field(lr_2021, "battery_unit_cost", 800.0)
-    reference = cm.lifecycle_premium(rebased)
-    moved = cm.lifecycle_premium(
-        cm.replace_field(rebased, "battery_unit_cost", 880.0))
+    reference = cm.premium("lifecycle", *cm.stage_costs(rebased, "lifecycle"))
+    moved = cm.premium("lifecycle", *cm.stage_costs(
+        cm.replace_field(rebased, "battery_unit_cost", 880.0), "lifecycle"))
     expected = (moved - reference) / abs(reference)
     got = sn.perturb(rebased, reference, factor_by_id("battery_800"), 0.10)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -58,7 +56,7 @@ def test_perturb_degenerate_base_raises(lr_2021):
         else:
             lo = mid
     balanced = cm.replace_field(lr_2021, "gasoline_price", (lo + hi) / 2)
-    assert abs(cm.lifecycle_premium(balanced)) < 1e-9
+    assert abs(cm.premium("lifecycle", *cm.stage_costs(balanced, "lifecycle"))) < 1e-9
     rows, errors = sn.sensitivity_table(balanced, [factor])
     assert rows == []
     assert re.fullmatch(r"probe: base premium \S+ too small to normalise", errors["probe"])
@@ -120,7 +118,7 @@ def test_degenerate_rows_collected_not_fatal(lr_2021):
         else:
             lo = mid
     degenerate = sn.FactorSpec("balanced_fc", "icev_consumption", "probe",
-                               "Cost", rebase={"icev_consumption": (lo + hi) / 2})
+                               "Cost", base=(lo + hi) / 2)
     rows, errors = sn.sensitivity_table(
         lr_2021, [factor_by_id("oil_price"), degenerate])
     assert [r.factor for r in rows] == ["oil_price"]
@@ -156,7 +154,7 @@ def test_battery_coefficient_shrinks_with_cheaper_base(lr_2021):
     coeffs = []
     for base_cost in (800.0, 650.0, 500.0):
         factor = sn.FactorSpec("probe", "battery_unit_cost", "probe",
-                               "Production", rebase={"battery_unit_cost": base_cost})
+                               "Production", base=base_cost)
         changes = [sn.perturb(*rebased_point(lr_2021, factor), factor, pct)
                    for pct in sn.PERTURBATIONS]
         coeffs.append(sn.coefficient(changes))
@@ -190,16 +188,14 @@ def _perturb_per_point(base, factor, pct, target):
     """perturb as it was: re-base and price the reference at every point.
     (replace_field itself is checked against dataclasses.replace in
     test_costmodel.)"""
-    sc = base
-    for name, value in factor.rebase.items():
-        sc = cm.replace_field(sc, name, value)
-    reference = sn._premium(sc, target)
+    sc = base if factor.base is None else cm.replace_field(base, factor.accessor, factor.base)
+    reference = cm.premium(target, *cm.stage_costs(sc, target))
     if abs(reference) < sn.DEGENERATE_BASE:
         raise _Degenerate(
             f"{factor.id}: base premium {reference:.2e} too small to normalise")
     value = getattr(sc, factor.accessor)
-    moved = sn._premium(cm.replace_field(sc, factor.accessor, value * (1.0 + pct)), target)
-    return (moved - reference) / abs(reference)
+    moved = cm.replace_field(sc, factor.accessor, value * (1.0 + pct))
+    return (cm.premium(target, *cm.stage_costs(moved, target)) - reference) / abs(reference)
 
 
 SNAPSHOTS = [("long-range", 2021), ("short-range", 2021),

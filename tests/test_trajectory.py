@@ -156,11 +156,31 @@ def test_constant_schedule_gives_constant_series():
         assert p.production == first.production
 
 
-def test_evaluate_year_lifecycle_matches_lifecycle_premium(long_range, short_range):
+def test_evaluate_year_matches_premium_of_stage_costs(long_range, short_range):
     for sched in (long_range, short_range):
         for year in range(2010, 2031):
             sc = tj.resolve_scenario(sched, year)
-            assert tj.evaluate_year(sc).lifecycle == cm.lifecycle_premium(sc)
+            point = tj.evaluate_year(sc)
+            for kind in cm.PREMIUM_KINDS:
+                assert _bits(getattr(point, kind)) == _bits(
+                    cm.premium(kind, *cm.stage_costs(sc, kind))), (sched.name, year, kind)
+
+
+def test_evaluate_year_reports_the_first_undefined_stage(lr_2021):
+    """Errors come in the order production, acquisition and lifecycle premium, then LCOD."""
+    broken = dict(engine_intake_exhaust_cost=0.0, transmission_cost=0.0, common_base_cost=0.0,
+                  icev_price_margin=-1.0, credit_price=0.0, icev_residual=1e9, annual_km=0.0)
+    for message, repaired in [
+            ("production premium undefined",
+             ("engine_intake_exhaust_cost", "transmission_cost", "common_base_cost")),
+            ("acquisition premium undefined", ("icev_price_margin",)),
+            ("lifecycle premium undefined", ("icev_residual",)),
+            ("LCOD undefined", ("annual_km",))]:
+        with pytest.raises(cm.DomainError, match=message):
+            tj.evaluate_year(dataclasses.replace(lr_2021, **broken))
+        for name in repaired:
+            del broken[name]
+    assert math.isfinite(tj.evaluate_year(dataclasses.replace(lr_2021, **broken)).lifecycle)
 
 
 def test_evaluate_year_rejects_non_positive_icev_tco(lr_2021):
@@ -356,5 +376,5 @@ def test_evaluate_returns_the_tcos_evaluate_year_used(lr_2021):
     point = tj.evaluate_year(lr_2021)
     assert point.tco_ev == cm.tco_npv(lr_2021, cm.VehicleKind.EV)
     assert point.tco_icev == cm.tco_npv(lr_2021, cm.VehicleKind.ICEV)
-    assert point.lifecycle == cm.tco_premium(point.tco_ev, point.tco_icev)
+    assert point.lifecycle == cm.premium("lifecycle", point.tco_ev, point.tco_icev)
     assert point.lcod_ev == cm.lcod(point.tco_ev, lr_2021)
