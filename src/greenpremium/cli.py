@@ -263,26 +263,28 @@ def cmd_parity(args) -> None:
     write_csv(args.out, manifest, ["premium", "parity_year"], rows)
 
 
-def _sales_and_premiums(args, with_premiums: bool = True) -> tuple[
-        ObservationSeries, tj.ScenarioSchedule | None, tj.PremiumSeries | None]:
-    """The sales file, the scenario, and its premium series over the sales years."""
+def _run_fit(args, fit, with_premiums: bool = True) -> tuple:
+    """(scenario, settings, result) of `fit` run on the sales file and the
+    scenario's premium series over the sales years; a fit error names the file."""
     obs = load_sales_csv(args.data)
-    if not with_premiums:
-        return obs, None, None
-    sched = config.load_schedule(args.scenario)
-    return obs, sched, tj.premium_series(sched, range(obs.years[0], obs.years[-1] + 1))
+    sched = premiums = None
+    if with_premiums:
+        sched = config.load_schedule(args.scenario)
+        premiums = tj.premium_series(sched, range(obs.years[0], obs.years[-1] + 1))
+    cfg = _fit_config(args, _resolve_seed(args))
+    try:
+        return sched, cfg, fit(obs, premiums, cfg)
+    except ValueError as exc:
+        raise CliError(f"{args.data}: {exc}") from exc
 
 
 def cmd_fit(args) -> None:
     import numpy as np
     from .fitting import ga_fit
-    obs, sched, premiums = _sales_and_premiums(args, with_premiums=not args.vanilla)
-    seed = _resolve_seed(args)
-    cfg = _fit_config(args, seed)
-    result = ga_fit(obs, premiums, cfg)
+    sched, cfg, result = _run_fit(args, ga_fit, with_premiums=not args.vanilla)
     _report_bounds("vanilla" if args.vanilla else "generalized", result)
     header, rows = _fit_rows(result)
-    manifest = _manifest("fit", args.scenario, sched, seed=seed,
+    manifest = _manifest("fit", args.scenario, sched, seed=cfg.rng_seed,
                          model="vanilla" if args.vanilla else "generalized",
                          data=args.data, **_fit_settings(cfg), numpy=np.__version__)
     write_csv(args.out, manifest, header, rows)
@@ -337,10 +339,7 @@ def cmd_sensitivity(args) -> None:
 def cmd_compare(args) -> None:
     import numpy as np
     from .fitting import compare_models
-    obs, sched, premiums = _sales_and_premiums(args)
-    seed = _resolve_seed(args)
-    cfg = _fit_config(args, seed)
-    vanilla, generalized = compare_models(obs, premiums, cfg)
+    sched, cfg, (vanilla, generalized) = _run_fit(args, compare_models)
     rows = []
     for label, res in (("vanilla", vanilla), ("generalized", generalized)):
         _report_bounds(label, res)
@@ -350,7 +349,7 @@ def cmd_compare(args) -> None:
         print(f"warning: generalized fit: objective = "
               f"{_fmt(generalized.objective, EXACT_DIGITS)} is above the vanilla fit's "
               f"{_fmt(vanilla.objective, EXACT_DIGITS)}, which it nests", file=sys.stderr)
-    manifest = _manifest("compare", args.scenario, sched, seed=seed, data=args.data,
+    manifest = _manifest("compare", args.scenario, sched, seed=cfg.rng_seed, data=args.data,
                          **_fit_settings(cfg), numpy=np.__version__)
     write_csv(args.out, manifest, ["model", *header], rows)
 

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .trajectory import (ALL_FIELDS, DEFAULT_STEP_FIELDS, ScenarioSchedule,
-                         ScheduleEntry, ScheduleError, integral)
+from .trajectory import ScenarioSchedule, build_schedule
 
 CONFIG_DIR_ENV = "GREENPREMIUM_CONFIG_DIR"
 BUILTIN_SCENARIOS = ("long-range", "short-range")
@@ -102,50 +101,9 @@ def load_schedule(ref: str) -> ScenarioSchedule:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a mapping at top level")
     try:
-        span = doc["span"]
-        if not (isinstance(span, list) and len(span) == 2):
-            raise ScheduleError(f"span must be a [first, last] pair of years, got {span!r}")
-        interpolation = doc.get("interpolation", {})
-        if not isinstance(interpolation, dict):
-            raise ScheduleError(f"interpolation must be a mapping, got {interpolation!r}")
-        step = interpolation.get("step", [])
-        if not isinstance(step, list):
-            raise ScheduleError(
-                f"interpolation.step must be a list of schedule keys, got {step!r}")
-        for key in step:
-            if key not in ALL_FIELDS:
-                raise ScheduleError(f"interpolation.step: unknown schedule key {key!r}")
-        first, last = integral(span[0], "span"), integral(span[1], "span")
-        if first > last:
-            raise ScheduleError(f"span: first year {first} is after last year {last}")
-        entries = doc["entries"]
-        if not isinstance(entries, list):
-            raise ScheduleError(f"entries must be a list of mappings, got {entries!r}")
-        built = []
-        for i, e in enumerate(entries):
-            if not isinstance(e, dict):
-                raise ScheduleError(f"entries[{i}]: expected a mapping, got {e!r}")
-            if "year" not in e:
-                raise ScheduleError(f"entries[{i}]: missing key 'year'")
-            built.append(ScheduleEntry(year=integral(e["year"], "entry year"),
-                                       overrides={k: v for k, v in e.items() if k != "year"}))
-        for key in ("name", "vehicle_class"):
-            if not isinstance(doc.get(key, ""), str):
-                raise ScheduleError(f"{key}: expected a string, got {doc[key]!r}")
-        return ScenarioSchedule(
-            name=doc["name"],
-            vehicle_class=doc.get("vehicle_class", doc["name"]),
-            span=(first, last),
-            entries=tuple(built),
-            step_fields=frozenset(step) or DEFAULT_STEP_FIELDS,
-            source=str(path),
-            digest=hashlib.sha256(data).hexdigest()[:12],
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from exc
+        return build_schedule(doc, str(path), hashlib.sha256(data).hexdigest()[:12])
     except (TypeError, ValueError, OverflowError) as exc:
-        # ValueError covers ScheduleError and int() of a string or NaN;
-        # OverflowError is int() of an infinite year
+        # a ScheduleError, or what int() raises for a year that is not a number
         raise ConfigError(f"{path}: {exc}") from exc
 
 

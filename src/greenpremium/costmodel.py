@@ -235,6 +235,7 @@ _UNDEFINED: dict[PremiumKind, str] = {
     "acquisition": "acquisition premium undefined: ICEV effective cost is zero",
     "lifecycle": "lifecycle premium undefined: ICEV TCO must be positive",
 }
+_UNKNOWN_KIND = "unknown premium kind {!r}; expected one of " + str(PREMIUM_KINDS)
 
 
 def stage_costs(sc: VehicleScenario, kind: PremiumKind) -> tuple[float, float]:
@@ -245,11 +246,15 @@ def stage_costs(sc: VehicleScenario, kind: PremiumKind) -> tuple[float, float]:
     if kind == "acquisition":
         return (effective_acquisition_cost(sc, VehicleKind.EV),
                 effective_acquisition_cost(sc, VehicleKind.ICEV))
-    return tco_npv(sc, VehicleKind.EV), tco_npv(sc, VehicleKind.ICEV)
+    if kind == "lifecycle":
+        return tco_npv(sc, VehicleKind.EV), tco_npv(sc, VehicleKind.ICEV)
+    raise ValueError(_UNKNOWN_KIND.format(kind))
 
 
 def premium(kind: PremiumKind, ev_cost: float, icev_cost: float) -> float:
     """The `kind` green premium, the relative cost gap (EV - ICEV) / ICEV."""
+    if kind not in PREMIUM_KINDS:
+        raise ValueError(_UNKNOWN_KIND.format(kind))
     if icev_cost <= 0:
         raise DomainError(_UNDEFINED[kind])
     return (ev_cost - icev_cost) / icev_cost

@@ -1,16 +1,17 @@
 """Year-indexed parameter schedules and premium time series.
 
-A schedule is an ordered list of entries, each holding the fields that change
-from that year on. Scalar fields resolve either stepwise (hold last value) or
-by linear interpolation between anchor years. Evaluating the cost model per
-resolved year yields the premium/LCOD series that downstream forecasting and
-parity analysis consume.
+`build_schedule` checks a scenario document, whose entries each hold the fields
+that change from that year on, and indexes one anchor track per field. Fields
+resolve stepwise (hold last value) or by linear interpolation between anchor
+years. Evaluating the cost model per resolved year yields the premium/LCOD
+series that downstream forecasting and parity analysis consume.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
@@ -28,7 +29,6 @@ DEFAULT_STEP_FIELDS = frozenset({
     "ev_tax_exempt", "acquisition_subsidy", "credit_price", "purchase_tax_rate",
     "lifecycle_years",
 })
-
 
 # Ranges for anchor values that the cost model needs bounded: the first two
 # size loops in tco_npv, and (1 + discount_rate) ** year must neither
@@ -63,66 +63,19 @@ def integral(value, where: str) -> int:
 
 
 @dataclass(frozen=True)
-class ScheduleEntry:
-    year: int
-    overrides: Mapping[str, object]
-
-
-@dataclass(frozen=True)
 class ScenarioSchedule:
-    """Named bundle of per-field anchor tracks over a span of years."""
+    """Named per-field anchor tracks over a span of years, built by `build_schedule`."""
 
     name: str
     vehicle_class: str
     span: tuple[int, int]
-    entries: tuple[ScheduleEntry, ...]
-    step_fields: frozenset[str] = field(default=DEFAULT_STEP_FIELDS)
+    # Each field's anchor years, strictly increasing, and its values there.
+    tracks: Mapping[str, tuple[list[int], list[object]]]
+    step_fields: frozenset[str] = DEFAULT_STEP_FIELDS
     # The file the schedule was read from, named in resolution errors, and
     # the SHA-256 (first 12 hex digits) of the bytes parsed, for run manifests.
     source: str | None = field(default=None, compare=False)
     digest: str | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        years = [e.year for e in self.entries]
-        if not years:
-            raise ScheduleError("schedule needs at least one entry")
-        if years != sorted(set(years)):
-            raise ScheduleError("entry years must be strictly increasing")
-        if years[0] > self.span[0]:
-            raise ScheduleError("first entry must not postdate the span start")
-        known = set(ALL_FIELDS)
-        first = self.entries[0].overrides
-        # Each pair's unused key, mapped to the key the schedule uses instead.
-        unused = dict(pair if pair[1] in first else pair[::-1] for pair in PRICE_KEYS)
-        # Each field's (year, value) anchors, indexed once; values_at reads them.
-        tracks: dict[str, list[tuple[int, object]]] = {}
-        for e in self.entries:
-            unknown = set(e.overrides) - known
-            if unknown:
-                raise ScheduleError(f"unknown schedule fields: {sorted(unknown)}")
-            for name, value in e.overrides.items():
-                if name in unused:
-                    raise ScheduleError(f"entry {e.year}: {name}: this schedule uses "
-                                        f"{unused[name]}, as its first entry decides")
-                # bools are ints; the bound rejects NaN, inf and ints no float holds
-                if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
-                    raise ScheduleError(
-                        f"entry {e.year}: {name}: expected a finite number, got {value!r}")
-                if name in INTEGER_FIELDS:
-                    integral(value, f"entry {e.year}: {name}")
-                if isinstance(value, bool) != (name in FLAG_FIELDS):
-                    expected = "true or false" if name in FLAG_FIELDS else "a number"
-                    raise ScheduleError(
-                        f"entry {e.year}: {name}: expected {expected}, got {value!r}")
-                lo, hi = ANCHOR_LIMITS.get(name, (-math.inf, math.inf))
-                if not lo <= value <= hi:
-                    raise ScheduleError(
-                        f"entry {e.year}: {name}: {value!r} outside [{lo}, {hi}]")
-                tracks.setdefault(name, []).append((e.year, value))
-        object.__setattr__(self, "_tracks", tracks)
-        for f_ in ALL_FIELDS:
-            if f_ not in first and f_ not in unused and f_ not in OPTIONAL_FIELDS:
-                raise ScheduleError(f"first entry must define every field; missing {f_!r}")
 
     def values_at(self, year: int) -> dict[str, object]:
         """Resolve, in one pass, every field whose first anchor is on or before `year`.
@@ -136,25 +89,98 @@ class ScenarioSchedule:
             raise SpanError(f"{where}year {year} outside schedule span "
                             f"{self.span[0]}..{self.span[1]}")
         out = {}
-        for name, track in self._tracks.items():
-            prev_year, prev_val = track[0]
-            if year < prev_year:
+        for name, (years, values) in self.tracks.items():
+            i = bisect_right(years, year)     # years[i - 1] <= year < years[i]
+            if i == 0:
                 continue
-            for anchor_year, anchor_val in track:
-                if anchor_year == year:
-                    out[name] = anchor_val
-                    break
-                if anchor_year > year:
-                    if name in self.step_fields or isinstance(prev_val, bool):
-                        out[name] = prev_val
-                    else:
-                        frac = (year - prev_year) / (anchor_year - prev_year)
-                        out[name] = prev_val + (anchor_val - prev_val) * frac
-                    break
-                prev_year, prev_val = anchor_year, anchor_val
-            else:
+            prev_year, prev_val = years[i - 1], values[i - 1]
+            if (prev_year == year or i == len(years) or name in self.step_fields
+                    or isinstance(prev_val, bool)):
                 out[name] = prev_val
+            else:
+                frac = (year - prev_year) / (years[i] - prev_year)
+                out[name] = prev_val + (values[i] - prev_val) * frac
         return out
+
+
+def build_schedule(doc: Mapping, source: str | None = None,
+                   digest: str | None = None) -> ScenarioSchedule:
+    """The schedule a parsed scenario document describes, checked and indexed in
+    one pass over its entries. A fault raises a ScheduleError, or the error of
+    `int` on a year that is not a number."""
+    for key in ("span", "entries", "name"):
+        if key not in doc:
+            raise ScheduleError(f"missing key {key!r}")
+    span = doc["span"]
+    if not (isinstance(span, list) and len(span) == 2):
+        raise ScheduleError(f"span must be a [first, last] pair of years, got {span!r}")
+    interpolation = doc.get("interpolation", {})
+    if not isinstance(interpolation, dict):
+        raise ScheduleError(f"interpolation must be a mapping, got {interpolation!r}")
+    step = interpolation.get("step", [])
+    if not isinstance(step, list):
+        raise ScheduleError(f"interpolation.step must be a list of schedule keys, got {step!r}")
+    for key in step:
+        if key not in ALL_FIELDS:
+            raise ScheduleError(f"interpolation.step: unknown schedule key {key!r}")
+    first, last = integral(span[0], "span"), integral(span[1], "span")
+    if first > last:
+        raise ScheduleError(f"span: first year {first} is after last year {last}")
+    for key in ("name", "vehicle_class"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ScheduleError(f"{key}: expected a string, got {doc[key]!r}")
+    entries = doc["entries"]
+    if not isinstance(entries, list):
+        raise ScheduleError(f"entries must be a list of mappings, got {entries!r}")
+    if not entries:
+        raise ScheduleError("schedule needs at least one entry")
+    known = set(ALL_FIELDS)
+    tracks: dict[str, tuple[list[int], list[object]]] = {}
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ScheduleError(f"entries[{i}]: expected a mapping, got {e!r}")
+        if "year" not in e:
+            raise ScheduleError(f"entries[{i}]: missing key 'year'")
+        overrides = dict(e)
+        year = integral(overrides.pop("year"), "entry year")
+        if i == 0:
+            if year > first:
+                raise ScheduleError("first entry must not postdate the span start")
+            # Each pair's unused key, mapped to the key the schedule uses instead.
+            unused = dict(pair if pair[1] in e else pair[::-1] for pair in PRICE_KEYS)
+        elif year <= prev_year:
+            raise ScheduleError("entry years must be strictly increasing")
+        prev_year = year
+        unknown = set(overrides) - known
+        if unknown:
+            raise ScheduleError(f"unknown schedule fields: {sorted(unknown)}")
+        for name, value in overrides.items():
+            if name in unused:
+                raise ScheduleError(f"entry {year}: {name}: this schedule uses "
+                                    f"{unused[name]}, as its first entry decides")
+            # bools are ints; the bound rejects NaN, inf and ints no float holds
+            if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+                raise ScheduleError(
+                    f"entry {year}: {name}: expected a finite number, got {value!r}")
+            if name in INTEGER_FIELDS:
+                integral(value, f"entry {year}: {name}")
+            if isinstance(value, bool) != (name in FLAG_FIELDS):
+                expected = "true or false" if name in FLAG_FIELDS else "a number"
+                raise ScheduleError(
+                    f"entry {year}: {name}: expected {expected}, got {value!r}")
+            lo, hi = ANCHOR_LIMITS.get(name, (-math.inf, math.inf))
+            if not lo <= value <= hi:
+                raise ScheduleError(f"entry {year}: {name}: {value!r} outside [{lo}, {hi}]")
+            years, values = tracks.setdefault(name, ([], []))
+            years.append(year)
+            values.append(value)
+    for name in ALL_FIELDS:
+        if name not in entries[0] and name not in unused and name not in OPTIONAL_FIELDS:
+            raise ScheduleError(f"first entry must define every field; missing {name!r}")
+    return ScenarioSchedule(
+        name=doc["name"], vehicle_class=doc.get("vehicle_class", doc["name"]),
+        span=(first, last), tracks=tracks,
+        step_fields=frozenset(step) or DEFAULT_STEP_FIELDS, source=source, digest=digest)
 
 
 def resolve_scenario(sched: ScenarioSchedule, year: int) -> cm.VehicleScenario:

@@ -497,7 +497,7 @@ def test_vanilla_fit_refuses_a_window_it_cannot_simulate(tmp_path, capsys, monke
     typo.write_text(text.replace("\n2021,", "\n20210,"))
     out = tmp_path / "fit.csv"
     assert run(["fit", "--vanilla", "--data", str(typo), "--seed", "0", "--out", str(out)]) == 1
-    assert ("error: observations span 2010 to 20210, more than the "
+    assert (f"error: {typo}: observations span 2010 to 20210, more than the "
             f"{fitting.MAX_WINDOW_YEARS} years a fit may simulate") in capsys.readouterr().err
     assert evaluated == [] and not out.exists()
 
@@ -724,7 +724,9 @@ def test_fit_rejects_invalid_settings_before_fitting(tmp_path, capsys, options, 
     code = run(["fit", "--data", str(config.sample_sales_path()), "--seed", "0",
                 *options, "--out", str(out)])
     assert code == 1
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err
+    assert str(config.sample_sales_path()) not in err     # a setting, not the sales, is at fault
     assert not out.exists()
 
 
@@ -761,7 +763,23 @@ def test_fit_with_undefined_r_squared_exits_1_before_fitting(tmp_path, capsys, m
     code = run([command, "--data", str(data), "--seed", "0", "--population", "20000",
                 "--generations", "200", "--no-early-stop", "--out", str(out)])
     assert code == 1
-    assert f"error: R^2 undefined: {message}\n" in capsys.readouterr().err
+    assert f"error: {data}: R^2 undefined: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+@pytest.mark.parametrize("sales, message", [
+    ("5,6,7", "need at least 4 observations"),
+    ("0,0,0,0", "degenerate fit: all observations are zero"),
+], ids=["three-rows", "all-zero"])
+def test_fit_error_about_the_sales_names_the_sales_file(tmp_path, capsys, command, sales,
+                                                        message):
+    data = tmp_path / "sales.csv"
+    data.write_text("year,annual_sales\n" + "".join(
+        f"{2015 + i},{s}\n" for i, s in enumerate(sales.split(","))))
+    out = tmp_path / "out.csv"
+    assert run([command, "--data", str(data), "--seed", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
     assert not out.exists()
 
 

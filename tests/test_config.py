@@ -17,10 +17,10 @@ def loader(request, monkeypatch):
     return request.param
 
 
-def _typed_entries(sched):
+def _typed_tracks(sched):
     # == alone would let True pass for 1 and 1 for 1.0; interpolation tells them apart
-    return [(e.year, [(k, type(v), v) for k, v in e.overrides.items()])
-            for e in sched.entries]
+    return [(name, years, [(type(v), v) for v in values])
+            for name, (years, values) in sched.tracks.items()]
 
 
 # Numbers that YAML 1.1 reads as text: an exponent without a dot, without a
@@ -48,14 +48,14 @@ def test_both_yaml_loaders_build_equal_schedules(name, monkeypatch, tmp_path):
     monkeypatch.setattr(config, "_Loader", yaml.SafeLoader)
     slow = config.load_schedule(str(name))
     assert slow == fast
-    assert _typed_entries(slow) == _typed_entries(fast)
+    assert _typed_tracks(slow) == _typed_tracks(fast)
     if isinstance(name, str):
         return
-    decimal = config.load_schedule("long-range").entries[0].overrides
+    decimal = config.load_schedule("long-range").tracks
     for line in EXPONENT_FORMS:
         key = line.split(":")[0]
-        value = fast.entries[0].overrides[key]
-        assert type(value) is float and value == decimal[key], key
+        value = fast.tracks[key][1][0]
+        assert type(value) is float and value == decimal[key][1][0], key
     # the loader classes themselves keep YAML 1.1's reading
     for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         assert yaml.load("x: 7.5e3", Loader=loader) == {"x": "7.5e3"}

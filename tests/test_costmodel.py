@@ -93,6 +93,24 @@ def test_premium_zero_denominator(kind, message):
         assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("kind", ["tco", "", "Lifecycle"])
+def test_unknown_premium_kind_is_refused_before_pricing(lr_2021, kind, monkeypatch):
+    message = (f"unknown premium kind {kind!r}; expected one of "
+               "('lifecycle', 'acquisition', 'production')")
+
+    def priced(*args):
+        raise AssertionError("a cost was priced")
+    for name in ("tco_npv", "production_cost_ev", "effective_acquisition_cost"):
+        monkeypatch.setattr(cm, name, priced)
+    with pytest.raises(ValueError) as raised:
+        cm.stage_costs(lr_2021, kind)
+    assert type(raised.value) is ValueError and str(raised.value) == message
+    for icev_cost in (1.0, 0.0):
+        with pytest.raises(ValueError) as raised:
+            cm.premium(kind, 1.0, icev_cost)
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
+
 # --- subsidies and compliance ---------------------------------------------
 
 def test_government_subsidy_max_credit_bev():

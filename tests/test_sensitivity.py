@@ -225,3 +225,11 @@ def test_sensitivity_table_calls_perturb_once_per_point(lr_2021, monkeypatch):
     monkeypatch.setattr(sn, "perturb", lambda *a, **k: calls.append(a) or original(*a, **k))
     rows, errors = sn.sensitivity_table(lr_2021, sn.default_factors())
     assert len(calls) == len(sn.PERTURBATIONS) * len(rows) == 56
+
+
+@pytest.mark.parametrize("kind", ["tco", "", "Lifecycle"])
+def test_sensitivity_table_refuses_an_unknown_premium_kind(lr_2021, kind):
+    message = (f"unknown premium kind {kind!r}; expected one of "
+               "('lifecycle', 'acquisition', 'production')")
+    with pytest.raises(ValueError, match=f": {re.escape(message)}$"):
+        sn.sensitivity_table(lr_2021, sn.default_factors(), kind)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import pytest
+import yaml
 
 from greenpremium import config
 from greenpremium import costmodel as cm
@@ -10,8 +11,13 @@ from greenpremium import trajectory as tj
 BATTERY_ANCHORS = ((2010, 7500), (2021, 820), (2025, 650), (2030, 500))
 
 
-def battery_only_schedule():
-    """Minimal schedule: the canonical battery track plus constants."""
+def schedule_doc(*entries, name="bad"):
+    """A scenario document over 2010..2030 holding `entries`."""
+    return {"name": name, "vehicle_class": "x", "span": [2010, 2030], "entries": list(entries)}
+
+
+def battery_only_doc():
+    """Minimal scenario document: the canonical battery track plus constants."""
     base = dict(
         battery_capacity=75, motor_unit_cost=65, motor_power=200,
         other_hv_cost=6000, engine_intake_exhaust_cost=16000,
@@ -24,12 +30,18 @@ def battery_only_schedule():
         icev_residual=65000, discount_rate=0.05, common_base_cost=94500,
         ev_price_margin=0.5503, icev_price_margin=0.358,
     )
-    entries = [tj.ScheduleEntry(2010, {**base, "battery_unit_cost": 7500})]
-    entries += [tj.ScheduleEntry(y, {"battery_unit_cost": v})
-                for y, v in BATTERY_ANCHORS[1:]]
-    return tj.ScenarioSchedule(
-        name="battery-only", vehicle_class="long-range", span=(2010, 2030),
-        entries=tuple(entries))
+    entries = [{"year": 2010, **base, "battery_unit_cost": 7500}]
+    entries += [{"year": y, "battery_unit_cost": v} for y, v in BATTERY_ANCHORS[1:]]
+    return {**schedule_doc(*entries, name="battery-only"), "vehicle_class": "long-range"}
+
+
+def battery_only_schedule():
+    return tj.build_schedule(battery_only_doc())
+
+
+def first_entry():
+    """The battery-only document's complete first entry, without its year."""
+    return {k: v for k, v in battery_only_doc()["entries"][0].items() if k != "year"}
 
 
 # --- resolution --------------------------------------------------------------
@@ -41,9 +53,9 @@ def test_linear_interpolation_hits_anchor_years():
 
 
 def test_value_check_failing_in_resolution_names_source_and_year():
-    sched = battery_only_schedule()
-    negative_cost = sched.entries[:2] + (tj.ScheduleEntry(2025, {"battery_unit_cost": -650}),)
-    bad = dataclasses.replace(sched, entries=negative_cost)
+    doc = battery_only_doc()
+    doc["entries"][2:] = [{"year": 2025, "battery_unit_cost": -650}]
+    bad = tj.build_schedule(doc)
     assert tj.resolve_scenario(bad, 2021).year == 2021
     with pytest.raises(tj.ScheduleError, match=r"^year 2024: .*non-negative"):
         tj.resolve_scenario(bad, 2024)
@@ -102,30 +114,24 @@ def test_schedule_keys_are_the_snapshot_fields_in_their_order():
         "consumer_battery_replacements")
     assert [f.name for f in dataclasses.fields(cm.VehicleScenario)] == ["year", *tj.ALL_FIELDS]
     with pytest.raises(tj.ScheduleError, match="missing 'battery_capacity'"):
-        tj.ScenarioSchedule("bad", "x", (2010, 2030), entries=(
-            tj.ScheduleEntry(2010, {"battery_unit_cost": 820}),))
+        tj.build_schedule(schedule_doc({"year": 2010, "battery_unit_cost": 820}))
 
 
 def test_schedule_validation():
-    sched = battery_only_schedule()
+    first = first_entry()
     with pytest.raises(tj.ScheduleError):
-        tj.ScenarioSchedule("bad", "x", (2010, 2030), entries=())
+        tj.build_schedule(schedule_doc())
     with pytest.raises(tj.ScheduleError):
-        tj.ScenarioSchedule("bad", "x", (2010, 2030), entries=(
-            tj.ScheduleEntry(2012, dict(sched.entries[0].overrides)),))
+        tj.build_schedule(schedule_doc({"year": 2012, **first}))
     with pytest.raises(tj.ScheduleError):
-        tj.ScenarioSchedule("bad", "x", (2010, 2030), entries=(
-            tj.ScheduleEntry(2010, {"no_such_field": 1}),))
+        tj.build_schedule(schedule_doc({"year": 2010, "no_such_field": 1}))
     with pytest.raises(tj.ScheduleError):
         # missing most fields in the first entry
-        tj.ScenarioSchedule("bad", "x", (2010, 2030), entries=(
-            tj.ScheduleEntry(2010, {"battery_unit_cost": 820}),))
-    first = dict(sched.entries[0].overrides)
+        tj.build_schedule(schedule_doc({"year": 2010, "battery_unit_cost": 820}))
     for bad in ("abc", float("nan"), float("inf"), None, 10**400):
         with pytest.raises(tj.ScheduleError,
                            match="entry 2010: motor_power: expected a finite number"):
-            tj.ScenarioSchedule("bad", "x", (2010, 2030), entries=(
-                tj.ScheduleEntry(2010, {**first, "motor_power": bad}),))
+            tj.build_schedule(schedule_doc({"year": 2010, **first, "motor_power": bad}))
 
 
 # --- premium series -----------------------------------------------------------
@@ -145,10 +151,8 @@ def test_premium_series_2010_levels(lr_series):
 
 
 def test_constant_schedule_gives_constant_series():
-    sched = battery_only_schedule()
-    constant = tj.ScenarioSchedule(
-        name="flat", vehicle_class="long-range", span=(2010, 2030),
-        entries=(sched.entries[0],))
+    doc = battery_only_doc()
+    constant = tj.build_schedule({**doc, "name": "flat", "entries": doc["entries"][:1]})
     series = tj.premium_series(constant, range(2010, 2031))
     first = series.points[0]
     for p in series.points[1:]:
@@ -267,11 +271,17 @@ def _snapshot_bits(sc):
     return [(name, _bits(getattr(sc, name))) for name in sc.__dataclass_fields__]
 
 
-def _value_at_reference(sched, field_name, year):
+def _document(name):
+    """The scenario document a schedule is built from, parsed without `config.load_schedule`."""
+    if name == "battery-only":
+        return battery_only_doc()
+    return yaml.safe_load(config.scenario_path(name).read_text())
+
+
+def _value_at_reference(sched, doc, field_name, year):
     """The per-field resolution as it was before values_at, reading the
-    anchors straight from the entries; None when the field has none yet."""
-    track = [(e.year, e.overrides[field_name]) for e in sched.entries
-             if field_name in e.overrides]
+    anchors straight from the document's entries; None when the field has none yet."""
+    track = [(e["year"], e[field_name]) for e in doc["entries"] if field_name in e]
     if not track or year < track[0][0]:
         return None
     prev_year, prev_val = track[0]
@@ -287,13 +297,13 @@ def _value_at_reference(sched, field_name, year):
     return prev_val
 
 
-def _resolve_field_by_field(sched, year):
+def _resolve_field_by_field(sched, doc, year):
     """The resolution as it was before values_at: one reference lookup per
     field, then a derive step on a scenario built with placeholder prices."""
     def val(name):
-        return _value_at_reference(sched, name, year)
+        return _value_at_reference(sched, doc, name, year)
 
-    first = sched.entries[0].overrides
+    first = doc["entries"][0]
     ev_margin = val("ev_price_margin") if "ev_price_margin" in first else None
     icev_margin = val("icev_price_margin") if "icev_price_margin" in first else None
     optional = sum(tj.PRICE_KEYS, tj.OPTIONAL_FIELDS)
@@ -317,10 +327,11 @@ def _resolve_field_by_field(sched, year):
 @pytest.mark.parametrize("name", ["long-range", "short-range", "battery-only"])
 def test_values_at_equals_per_field_resolution_for_every_field_and_year(name):
     sched = battery_only_schedule() if name == "battery-only" else config.load_schedule(name)
+    doc = _document(name)
     for year in range(sched.span[0], sched.span[1] + 1):
         values = sched.values_at(year)
         for field_name in tj.ALL_FIELDS:
-            expected = _value_at_reference(sched, field_name, year)
+            expected = _value_at_reference(sched, doc, field_name, year)
             if expected is None:
                 assert field_name not in values
                 continue
@@ -330,19 +341,18 @@ def test_values_at_equals_per_field_resolution_for_every_field_and_year(name):
 @pytest.mark.parametrize("name", ["long-range", "short-range", "battery-only"])
 def test_resolve_scenario_equals_field_by_field_resolution(name):
     sched = battery_only_schedule() if name == "battery-only" else config.load_schedule(name)
+    doc = _document(name)
     for year in range(sched.span[0], sched.span[1] + 1):
         got = tj.resolve_scenario(sched, year)
-        want = _resolve_field_by_field(sched, year)
+        want = _resolve_field_by_field(sched, doc, year)
         assert got == want
         assert _snapshot_bits(got) == _snapshot_bits(want), year
 
 
 def test_values_at_leaves_out_fields_not_yet_anchored():
-    sched = battery_only_schedule()
-    staged = tj.ScenarioSchedule(
-        name="staged", vehicle_class="x", span=(2010, 2030),
-        entries=(sched.entries[0],
-                 tj.ScheduleEntry(2015, {"consumer_battery_replacements": 1})))
+    staged = tj.build_schedule(schedule_doc(
+        battery_only_doc()["entries"][0], {"year": 2015, "consumer_battery_replacements": 1},
+        name="staged"))
     assert "consumer_battery_replacements" not in staged.values_at(2014)
     assert staged.values_at(2015)["consumer_battery_replacements"] == 1
     with pytest.raises(tj.SpanError):
@@ -356,17 +366,13 @@ def test_values_at_leaves_out_fields_not_yet_anchored():
                                          ("discount_rate", 1e300),
                                          ("discount_rate", -0.99999)])
 def test_schedule_rejects_anchor_outside_cost_model_limits(name, value):
-    first = dict(battery_only_schedule().entries[0].overrides)
     with pytest.raises(tj.ScheduleError, match=f"entry 2010: {name}: .* outside"):
-        tj.ScenarioSchedule("bad", "x", (2010, 2030),
-                            entries=(tj.ScheduleEntry(2010, {**first, name: value}),))
+        tj.build_schedule(schedule_doc({"year": 2010, **first_entry(), name: value}))
 
 
 def test_schedule_accepts_integral_floats_for_integer_fields():
-    first = dict(battery_only_schedule().entries[0].overrides)
-    whole = {**first, "lifecycle_years": 10.0, "consumer_battery_replacements": 2.0}
-    sched = tj.ScenarioSchedule("ok", "x", (2010, 2030),
-                                entries=(tj.ScheduleEntry(2010, whole),))
+    whole = {**first_entry(), "lifecycle_years": 10.0, "consumer_battery_replacements": 2.0}
+    sched = tj.build_schedule(schedule_doc({"year": 2010, **whole}, name="ok"))
     sc = tj.resolve_scenario(sched, 2015)
     assert _bits(sc.lifecycle_years) == _bits(10)
     assert _bits(sc.consumer_battery_replacements) == _bits(2)
