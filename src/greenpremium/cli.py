@@ -137,20 +137,30 @@ def load_sales_csv(path: str) -> ObservationSeries:
 
 
 def load_params_csv(path: str) -> BassParams:
-    """Read fitted parameters back from a `fit` output file."""
+    """Read fitted parameters back from a `fit` output file. A missing column
+    is reported at the header's line, any other fault at the data row's."""
     from .diffusion import BassParams
-    lines = [line for _, line in _data_lines(path, "params")]
+    lines = _data_lines(path, "params")
     if len(lines) < 2:
         raise CliError(f"{path}: expected a header and one data row")
     if len(lines) > 2:
         raise CliError(f"{path}: expected one data row, found {len(lines) - 1}; "
                        "pass a single-row `fit` output")
-    row = next(csv.DictReader(lines))
+    (header_no, _), (row_no, _) = lines
+    row = next(csv.DictReader(line for _, line in lines))   # a short row fills in None
+    values = {}
+    for name in ("p", "q", "beta", "m"):
+        if name not in row:
+            raise CliError(f"{path}:{header_no}: not a fitted-parameters file: no column {name}")
+        try:
+            values[name] = float(row[name])
+        except (TypeError, ValueError):
+            problem = "no value" if row[name] is None else f"expected a number, got {row[name]!r}"
+            raise CliError(f"{path}:{row_no}: column {name}: {problem}") from None
     try:
-        return BassParams(p=float(row["p"]), q=float(row["q"]),
-                          m=float(row["m"]), beta=float(row["beta"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"{path}: not a fitted-parameters file ({exc})") from exc
+        return BassParams(**values)
+    except ValueError as exc:
+        raise CliError(f"{path}:{row_no}: {exc}") from None
 
 
 def _manifest(command: str, scenario: str, sched: tj.ScenarioSchedule | None,
@@ -256,9 +266,8 @@ def cmd_premium_series(args) -> None:
 def cmd_parity(args) -> None:
     sched = config.load_schedule(args.scenario)
     series = tj.premium_series(sched, _years(args))
-    years = (tj.parity_years(series) if args.which == "all"
-             else {args.which: tj.parity_year(series, args.which)})
-    rows = [[kind, "none" if year is None else str(year)] for kind, year in years.items()]
+    rows = [[kind, "none" if year is None else str(year)]
+            for kind, year in tj.parity_years(series).items()]
     manifest = _manifest("parity", args.scenario, sched)
     write_csv(args.out, manifest, ["premium", "parity_year"], rows)
 
@@ -385,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parity", help="first years each premium reaches zero")
     add_common(p)
     add_years(p)
-    p.add_argument("--which", default="all",
-                   choices=["all", *PREMIUM_KINDS])
     p.set_defaults(func=cmd_parity)
 
     def add_fit_options(p):

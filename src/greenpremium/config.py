@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from .trajectory import ScenarioSchedule, build_schedule
+from .trajectory import ScenarioSchedule, ScheduleError, build_schedule
 
 CONFIG_DIR_ENV = "GREENPREMIUM_CONFIG_DIR"
 BUILTIN_SCENARIOS = ("long-range", "short-range")
@@ -102,8 +102,7 @@ def load_schedule(ref: str) -> ScenarioSchedule:
         raise ConfigError(f"{path}: expected a mapping at top level")
     try:
         return build_schedule(doc, str(path), hashlib.sha256(data).hexdigest()[:12])
-    except (TypeError, ValueError, OverflowError) as exc:
-        # a ScheduleError, or what int() raises for a year that is not a number
+    except ScheduleError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

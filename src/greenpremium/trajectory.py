@@ -53,13 +53,12 @@ class SpanError(ScheduleError):
 
 
 def integral(value, where: str) -> int:
-    """`value` as an int when it is whole, as 10 and 10.0 are. NaN, an infinity
-    or a word fails in `int`; a bool, a fraction or a quoted number raises a
-    ScheduleError at `where`."""
-    number = int(value)
-    if isinstance(value, bool) or number != value:
-        raise ScheduleError(f"{where}: expected an integer, got {value!r}")
-    return number
+    """`value` as an int when it is whole, as 10 and 10.0 are; a bool, a word,
+    null, NaN, an infinity or a fraction raises a ScheduleError at `where`."""
+    whole = isinstance(value, float) and value.is_integer()    # false for NaN and inf
+    if whole or isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ScheduleError(f"{where}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ class ScenarioSchedule:
 def build_schedule(doc: Mapping, source: str | None = None,
                    digest: str | None = None) -> ScenarioSchedule:
     """The schedule a parsed scenario document describes, checked and indexed in
-    one pass over its entries. A fault raises a ScheduleError, or the error of
-    `int` on a year that is not a number."""
+    one pass over its entries. Every fault raises a ScheduleError naming its place."""
     for key in ("span", "entries", "name"):
         if key not in doc:
             raise ScheduleError(f"missing key {key!r}")
@@ -142,18 +140,18 @@ def build_schedule(doc: Mapping, source: str | None = None,
         if "year" not in e:
             raise ScheduleError(f"entries[{i}]: missing key 'year'")
         overrides = dict(e)
-        year = integral(overrides.pop("year"), "entry year")
+        year = integral(overrides.pop("year"), f"entries[{i}]: year")
         if i == 0:
             if year > first:
-                raise ScheduleError("first entry must not postdate the span start")
+                raise ScheduleError(f"entries[0]: year {year} is after the span start {first}")
             # Each pair's unused key, mapped to the key the schedule uses instead.
             unused = dict(pair if pair[1] in e else pair[::-1] for pair in PRICE_KEYS)
         elif year <= prev_year:
-            raise ScheduleError("entry years must be strictly increasing")
+            raise ScheduleError(f"entries[{i}]: year {year} is not after {prev_year}")
         prev_year = year
-        unknown = set(overrides) - known
-        if unknown:
-            raise ScheduleError(f"unknown schedule fields: {sorted(unknown)}")
+        if not known.issuperset(overrides):
+            unknown = sorted(set(overrides) - known, key=str)   # 1 and 'a' do not compare
+            raise ScheduleError(f"entry {year}: unknown schedule fields: {unknown}")
         for name, value in overrides.items():
             if name in unused:
                 raise ScheduleError(f"entry {year}: {name}: this schedule uses "

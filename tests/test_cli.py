@@ -518,6 +518,19 @@ def test_load_params_csv_rejects_wrong_file(tmp_path):
         load_params_csv(str(p))
 
 
+@pytest.mark.parametrize("header, row, message", [
+    ("p,q,beta,m", "0.001,0.3", "3: column beta: no value"),
+    ("p,q,beta,m", "0.001,abc,0.5,100", "3: column q: expected a number, got 'abc'"),
+    ("p,q,m", "0.001,0.3,100", "2: not a fitted-parameters file: no column beta"),
+    ("p,q,beta,m", "0,0.3,0.5,100", "3: p must be > 0"),
+], ids=["short-row", "word", "no-beta", "out-of-range"])
+def test_bad_params_file_names_the_line_and_the_column(tmp_path, capsys, header, row, message):
+    params = tmp_path / "params.csv"
+    params.write_text(f"# fit output\n{header}\n{row}\n")
+    assert run(["forecast", "--params", str(params)]) == 1
+    assert capsys.readouterr().err == f"error: {params}:{message}\n"
+
+
 def test_config_dir_env_var(tmp_path, monkeypatch):
     custom = config.scenario_path("long-range").read_text().replace(
         "name: long-range", "name: custom-lr")

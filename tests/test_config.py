@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from greenpremium import config
+from greenpremium import trajectory as tj
 from greenpremium.cli import run
 
 
@@ -166,11 +167,46 @@ def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory)
         assert all(math.isfinite(float(v)) for r in rows for v in r.split(","))
 
 
+@given(doc=_scenario_docs())
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_build_schedule_raises_only_schedule_errors(doc):
+    """Any other exception escaping the one check of a scenario document fails here."""
+    try:
+        tj.build_schedule(doc)
+    except tj.ScheduleError:
+        pass
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("  - year: 2013", "  - year: x", "entries[1]: year: expected an integer, got 'x'"),
+    ("  - year: 2013", "  - year: true", "entries[1]: year: expected an integer, got True"),
+    ("  - year: 2013", "  - year: .inf", "entries[1]: year: expected an integer, got inf"),
+    ("  - year: 2013", "  - year: .nan", "entries[1]: year: expected an integer, got nan"),
+    ("  - year: 2013", "  - year: 2012.5", "entries[1]: year: expected an integer, got 2012.5"),
+    ("span: [2010, 2030]", "span: [null, 2030]", "span: expected an integer, got None"),
+    ("  - year: 2013", "  - year: 2010", "entries[1]: year 2010 is not after 2010"),
+    ("  - year: 2010", "  - year: 2011", "entries[0]: year 2011 is after the span start 2010"),
+    ("  - year: 2013\n", "  - year: 2013\n    1: 5\n    nope: 5\n",
+     "entry 2013: unknown schedule fields: [1, 'nope']"),
+], ids=["year-word", "year-bool", "year-inf", "year-nan", "year-fraction", "span-null",
+        "year-repeated", "year-after-span-start", "unknown-keys-of-two-types"])
+def test_scenario_fault_is_named_in_the_tools_own_words(tmp_path, capsys, old, new, message):
+    text = config.scenario_path("long-range").read_text()
+    assert old in text
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace(old, new, 1))
+    assert run(["tco", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("span: [2010, 2030]", "span: [2010]", "span must be a"),
     ("span: [2010, 2030]", "span: 2010", "span must be a"),
-    ("  - year: 2013", "  - year: .inf", "infinity"),
-    ("  - year: 2013", "  - year: .nan", "NaN"),
+    ("  - year: 2013", "  - year: .inf",
+     r"bad\.yaml: entries\[1\]: year: expected an integer, got inf$"),
+    ("  - year: 2013", "  - year: .nan",
+     r"bad\.yaml: entries\[1\]: year: expected an integer, got nan$"),
     ("interpolation:\n", "interpolation: null\nunused:\n", "interpolation must be a mapping"),
     ("discount_rate: 0.05", "discount_rate: 1.0e+300", "discount_rate: 1e\\+300 outside"),
     ("lifecycle_years: 10", "lifecycle_years: 1000000000000000", "lifecycle_years: .* outside"),
@@ -183,7 +219,8 @@ def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory)
      "entry 2010: lifecycle_years: expected an integer, got 10.9"),
     ("lifecycle_years: 10", "lifecycle_years: true",
      "entry 2010: lifecycle_years: expected an integer, got True"),
-    ("  - year: 2013", "  - year: 2012.7", "entry year: expected an integer, got 2012.7"),
+    ("  - year: 2013", "  - year: 2012.7",
+     r"bad\.yaml: entries\[1\]: year: expected an integer, got 2012\.7$"),
     ("span: [2010, 2030]", "span: [2010.5, 2030]", "span: expected an integer, got 2010.5"),
     ("span: [2010, 2030]", "span: [2010, '2030']", "span: expected an integer, got '2030'"),
     ("lifecycle_years: 10\n", "lifecycle_years: 10\n    consumer_battery_replacements: 1.5\n",
