@@ -211,14 +211,14 @@ def _fit_settings(cfg: FitConfig) -> dict[str, object]:
                 m_mode="free" if cfg.m_value is None else "fixed")
 
 
-def _fit_rows(result: FitResult) -> tuple[list[str], list[list[str]]]:
-    header = ["p", "q", "beta", "m", "objective", "r_squared",
-              "generations_run", "converged"]
-    row = [_fmt(result.params.p, EXACT_DIGITS), _fmt(result.params.q, EXACT_DIGITS),
-           _fmt(result.params.beta, EXACT_DIGITS), _fmt(result.params.m, EXACT_DIGITS),
-           _fmt(result.objective, EXACT_DIGITS), _fmt(result.r_squared, EXACT_DIGITS),
-           str(result.generations_run), _fmt(result.converged)]
-    return header, [row]
+FIT_HEADER = ["p", "q", "beta", "m", "objective", "r_squared", "generations_run", "converged"]
+
+
+def _fit_row(result: FitResult) -> list[str]:
+    exact = (result.params.p, result.params.q, result.params.beta, result.params.m,
+             result.objective, result.r_squared)
+    return [*(_fmt(v, EXACT_DIGITS) for v in exact), str(result.generations_run),
+            _fmt(result.converged)]
 
 
 def _report_bounds(model: str, result: FitResult) -> None:
@@ -292,11 +292,10 @@ def cmd_fit(args) -> None:
     from .fitting import ga_fit
     sched, cfg, result = _run_fit(args, ga_fit, with_premiums=not args.vanilla)
     _report_bounds("vanilla" if args.vanilla else "generalized", result)
-    header, rows = _fit_rows(result)
     manifest = _manifest("fit", args.scenario, sched, seed=cfg.rng_seed,
                          model="vanilla" if args.vanilla else "generalized",
                          data=args.data, **_fit_settings(cfg), numpy=np.__version__)
-    write_csv(args.out, manifest, header, rows)
+    write_csv(args.out, manifest, FIT_HEADER, [_fit_row(result)])
 
 
 def cmd_forecast(args) -> None:
@@ -352,15 +351,14 @@ def cmd_compare(args) -> None:
     rows = []
     for label, res in (("vanilla", vanilla), ("generalized", generalized)):
         _report_bounds(label, res)
-        header, fit_rows = _fit_rows(res)
-        rows.append([label] + fit_rows[0])
+        rows.append([label, *_fit_row(res)])
     if generalized.objective > vanilla.objective:
         print(f"warning: generalized fit: objective = "
               f"{_fmt(generalized.objective, EXACT_DIGITS)} is above the vanilla fit's "
               f"{_fmt(vanilla.objective, EXACT_DIGITS)}, which it nests", file=sys.stderr)
     manifest = _manifest("compare", args.scenario, sched, seed=cfg.rng_seed, data=args.data,
                          **_fit_settings(cfg), numpy=np.__version__)
-    write_csv(args.out, manifest, ["model", *header], rows)
+    write_csv(args.out, manifest, ["model", *FIT_HEADER], rows)
 
 
 # --- argument parsing -----------------------------------------------------

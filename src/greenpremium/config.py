@@ -64,13 +64,24 @@ def scenario_path(ref: str) -> Path:
         f"unknown scenario {ref!r}; expected a YAML path or one of {BUILTIN_SCENARIOS}")
 
 
+def _named_faults(construct, what: str, loader, node):
+    """`construct(loader, node)`, except that a ValueError (too many digits for
+    int, a 13th month) is raised as a YAML error at the scalar's line and column."""
+    try:
+        return construct(loader, node)
+    except ValueError:
+        raise yaml.constructor.ConstructorError(
+            None, None, f"found {what} that cannot be read", node.start_mark) from None
+
+
 @functools.cache
 def _unique_keys(loader: type) -> type:
     """`loader`, except that a key repeated in one mapping is an error where
     PyYAML keeps the last value, and that a plain number with an exponent
     reads as a float where YAML 1.1 reads it as text: without a dot or an
     exponent sign, or with no digit on one side of the dot (7.5e3, 1e3,
-    2E+4, .5e3, 7.e3). A key may still override a merged (<<) one."""
+    2E+4, .5e3, 7.e3), and that an int or date scalar that cannot be read
+    is a YAML error. A key may still override a merged (<<) one."""
     class UniqueKeyLoader(loader):
         def construct_mapping(self, node, deep=False):
             own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
@@ -84,6 +95,10 @@ def _unique_keys(loader: type) -> type:
                         "while constructing a mapping", node.start_mark,
                         f"found duplicate key {key!r}", own[i].start_mark)
             return mapping
+    for kind, what in (("int", "an integer"), ("timestamp", "a date")):
+        tag = f"tag:yaml.org,2002:{kind}"
+        UniqueKeyLoader.add_constructor(tag, functools.partial(
+            _named_faults, UniqueKeyLoader.yaml_constructors[tag], what))
     UniqueKeyLoader.add_implicit_resolver(     # copies the resolver table first
         "tag:yaml.org,2002:float",
         re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
@@ -98,8 +113,8 @@ def load_schedule(ref: str) -> ScenarioSchedule:
         doc = yaml.load(text, Loader=_unique_keys(_Loader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a mapping at top level")
+    except RecursionError:      # the pure-Python parser recurses once per level
+        raise ConfigError(f"{path}: invalid YAML (nested too deeply to parse)") from None
     try:
         return build_schedule(doc, str(path), hashlib.sha256(data).hexdigest()[:12])
     except ScheduleError as exc:

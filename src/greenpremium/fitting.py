@@ -150,6 +150,8 @@ class _FitProblem:
         except ValueError as exc:
             raise FitError(str(exc)) from None
         self.fixed = {**({"beta": 0.0} if premiums is None else {}), **fixed}
+        if premiums is None and self.fixed["beta"] != 0.0:
+            raise FitError("a premium series is required to fit beta")
         self.genes = tuple(g for g in ("p", "q", "beta", "m") if g not in self.fixed)
         self.columns = np.array([y - years[0] for y in years])
         self.weights = np.array([cfg.late_weight if y >= LATE_WEIGHT_FROM_YEAR
@@ -187,17 +189,13 @@ class _FitProblem:
 
 def objective(params: BassParams, obs: ObservationSeries,
               premiums: PremiumSeries | None, cfg: FitConfig) -> float:
-    """The fitting loss for one parameter vector.
+    """The fitting loss for one parameter vector, as a fit with every gene pinned scores it.
 
     Sum over observations of w(year) * (predicted - observed)^2, with
     w(year) = cfg.late_weight from LATE_WEIGHT_FROM_YEAR onward, plus
     PENALTY_WEIGHT times the squared negative part of each pre-clamp flow.
     """
-    problem = _FitProblem(obs, premiums, cfg, {"m": params.m})
-    if premiums is None and params.beta != 0.0:
-        raise FitError("a premium series is required to fit beta")
-    genome = [getattr(params, g) for g in problem.genes]
-    return float(problem.evaluate(np.array([genome]))[0])
+    return float(_FitProblem(obs, premiums, cfg, vars(params)).evaluate(np.empty((1, 0)))[0])
 
 
 def _breed(rng: np.random.Generator, pop: np.ndarray, fitness: np.ndarray, children: np.ndarray,
@@ -316,8 +314,7 @@ def predictions(params: BassParams, obs: ObservationSeries,
     """Fitted annual flows at the observation years."""
     years = obs.years
     states = simulate(params, premiums, years[0], years[-1] - years[0] + 1)
-    by_year = {s.year: s.new_adopters for s in states}
-    return tuple(by_year[y] for y in years)
+    return tuple(states[y - years[0]].new_adopters for y in years)
 
 
 def _sum_of_squares(observed: Sequence[float]) -> float:

@@ -10,6 +10,7 @@ series that downstream forecasting and parity analysis consume.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
@@ -52,13 +53,27 @@ class SpanError(ScheduleError):
     """Requested year lies outside the schedule span."""
 
 
+class _Shown(reprlib.Repr):
+    """A document value as an error message shows it: bounded in depth and
+    length, so that no message recurses or grows without limit."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:      # more digits than int-to-str converts
+            return f"<{x.bit_length()}-bit integer>"
+
+
+shown = _Shown().repr
+
+
 def integral(value, where: str) -> int:
     """`value` as an int when it is whole, as 10 and 10.0 are; a bool, a word,
     null, NaN, an infinity or a fraction raises a ScheduleError at `where`."""
     whole = isinstance(value, float) and value.is_integer()    # false for NaN and inf
     if whole or isinstance(value, int) and not isinstance(value, bool):
         return int(value)
-    raise ScheduleError(f"{where}: expected an integer, got {value!r}")
+    raise ScheduleError(f"{where}: expected an integer, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -102,73 +117,80 @@ class ScenarioSchedule:
         return out
 
 
-def build_schedule(doc: Mapping, source: str | None = None,
+def build_schedule(doc: object, source: str | None = None,
                    digest: str | None = None) -> ScenarioSchedule:
     """The schedule a parsed scenario document describes, checked and indexed in
     one pass over its entries. Every fault raises a ScheduleError naming its place."""
+    if not isinstance(doc, dict):
+        raise ScheduleError("expected a mapping at top level")
     for key in ("span", "entries", "name"):
         if key not in doc:
             raise ScheduleError(f"missing key {key!r}")
     span = doc["span"]
     if not (isinstance(span, list) and len(span) == 2):
-        raise ScheduleError(f"span must be a [first, last] pair of years, got {span!r}")
+        raise ScheduleError(f"span must be a [first, last] pair of years, got {shown(span)}")
     interpolation = doc.get("interpolation", {})
     if not isinstance(interpolation, dict):
-        raise ScheduleError(f"interpolation must be a mapping, got {interpolation!r}")
+        raise ScheduleError(f"interpolation must be a mapping, got {shown(interpolation)}")
     step = interpolation.get("step", [])
     if not isinstance(step, list):
-        raise ScheduleError(f"interpolation.step must be a list of schedule keys, got {step!r}")
+        raise ScheduleError(
+            f"interpolation.step must be a list of schedule keys, got {shown(step)}")
     for key in step:
         if key not in ALL_FIELDS:
-            raise ScheduleError(f"interpolation.step: unknown schedule key {key!r}")
+            raise ScheduleError(f"interpolation.step: unknown schedule key {shown(key)}")
     first, last = integral(span[0], "span"), integral(span[1], "span")
     if first > last:
-        raise ScheduleError(f"span: first year {first} is after last year {last}")
+        raise ScheduleError(f"span: first year {shown(first)} is after last year {shown(last)}")
     for key in ("name", "vehicle_class"):
         if not isinstance(doc.get(key, ""), str):
-            raise ScheduleError(f"{key}: expected a string, got {doc[key]!r}")
+            raise ScheduleError(f"{key}: expected a string, got {shown(doc[key])}")
     entries = doc["entries"]
     if not isinstance(entries, list):
-        raise ScheduleError(f"entries must be a list of mappings, got {entries!r}")
+        raise ScheduleError(f"entries must be a list of mappings, got {shown(entries)}")
     if not entries:
         raise ScheduleError("schedule needs at least one entry")
     known = set(ALL_FIELDS)
     tracks: dict[str, tuple[list[int], list[object]]] = {}
     for i, e in enumerate(entries):
         if not isinstance(e, dict):
-            raise ScheduleError(f"entries[{i}]: expected a mapping, got {e!r}")
+            raise ScheduleError(f"entries[{i}]: expected a mapping, got {shown(e)}")
         if "year" not in e:
             raise ScheduleError(f"entries[{i}]: missing key 'year'")
         overrides = dict(e)
         year = integral(overrides.pop("year"), f"entries[{i}]: year")
         if i == 0:
             if year > first:
-                raise ScheduleError(f"entries[0]: year {year} is after the span start {first}")
+                raise ScheduleError(
+                    f"entries[0]: year {shown(year)} is after the span start {shown(first)}")
             # Each pair's unused key, mapped to the key the schedule uses instead.
             unused = dict(pair if pair[1] in e else pair[::-1] for pair in PRICE_KEYS)
         elif year <= prev_year:
-            raise ScheduleError(f"entries[{i}]: year {year} is not after {prev_year}")
+            raise ScheduleError(f"entries[{i}]: year {shown(year)} is not after {shown(prev_year)}")
         prev_year = year
         if not known.issuperset(overrides):
-            unknown = sorted(set(overrides) - known, key=str)   # 1 and 'a' do not compare
-            raise ScheduleError(f"entry {year}: unknown schedule fields: {unknown}")
+            # sorted as text, since 1 and 'a' do not compare
+            unknown = sorted(set(overrides) - known,
+                             key=lambda k: k if isinstance(k, str) else shown(k))
+            raise ScheduleError(f"entry {shown(year)}: unknown schedule fields: {shown(unknown)}")
         for name, value in overrides.items():
             if name in unused:
-                raise ScheduleError(f"entry {year}: {name}: this schedule uses "
+                raise ScheduleError(f"entry {shown(year)}: {name}: this schedule uses "
                                     f"{unused[name]}, as its first entry decides")
             # bools are ints; the bound rejects NaN, inf and ints no float holds
             if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
                 raise ScheduleError(
-                    f"entry {year}: {name}: expected a finite number, got {value!r}")
+                    f"entry {shown(year)}: {name}: expected a finite number, got {shown(value)}")
             if name in INTEGER_FIELDS:
-                integral(value, f"entry {year}: {name}")
+                integral(value, f"entry {shown(year)}: {name}")
             if isinstance(value, bool) != (name in FLAG_FIELDS):
                 expected = "true or false" if name in FLAG_FIELDS else "a number"
                 raise ScheduleError(
-                    f"entry {year}: {name}: expected {expected}, got {value!r}")
+                    f"entry {shown(year)}: {name}: expected {expected}, got {shown(value)}")
             lo, hi = ANCHOR_LIMITS.get(name, (-math.inf, math.inf))
             if not lo <= value <= hi:
-                raise ScheduleError(f"entry {year}: {name}: {value!r} outside [{lo}, {hi}]")
+                raise ScheduleError(
+                    f"entry {shown(year)}: {name}: {shown(value)} outside [{lo}, {hi}]")
             years, values = tracks.setdefault(name, ([], []))
             years.append(year)
             values.append(value)

@@ -1,3 +1,4 @@
+import copy
 import math
 from decimal import Decimal
 
@@ -167,7 +168,21 @@ def test_fuzzed_scenario_exits_cleanly_with_finite_output(doc, tmp_path_factory)
         assert all(math.isfinite(float(v)) for r in rows for v in r.split(","))
 
 
-@given(doc=_scenario_docs())
+@st.composite
+def _deep_value_docs(draw):
+    """The shipped document with one value, of the document or of an entry,
+    replaced by lists and mappings nested 2,000 deep."""
+    doc = copy.deepcopy(_SHIPPED)
+    where = draw(st.sampled_from([doc, *doc["entries"]]))
+    value, kinds = draw(_wild), draw(st.sampled_from([[list], [dict], [list, dict]]))
+    for level in range(2000):
+        value = [value] if kinds[level % len(kinds)] is list else {"k": value}
+    where[draw(st.sampled_from(sorted(where)))] = value
+    return doc
+
+
+@given(doc=_scenario_docs() | _deep_value_docs()
+       | st.one_of(st.none(), _wild, st.lists(_wild, max_size=3)))
 @settings(max_examples=1000, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 def test_build_schedule_raises_only_schedule_errors(doc):
@@ -176,6 +191,15 @@ def test_build_schedule_raises_only_schedule_errors(doc):
         tj.build_schedule(doc)
     except tj.ScheduleError:
         pass
+
+
+def _unreadable(what, line, column, source_line):
+    """The (libyaml, pure-Python) message for a scalar no constructor can read;
+    the pure-Python one quotes the line, cut at 75 characters, under a caret."""
+    where = (f'found {what} that cannot be read\n'
+             f'  in "<unicode string>", line {line}, column {column}')
+    return (f"invalid YAML ({where})",
+            f"invalid YAML ({where}:\n    {source_line}\n{' ' * (column + 3)}^)")
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -189,15 +213,37 @@ def test_build_schedule_raises_only_schedule_errors(doc):
     ("  - year: 2010", "  - year: 2011", "entries[0]: year 2011 is after the span start 2010"),
     ("  - year: 2013\n", "  - year: 2013\n    1: 5\n    nope: 5\n",
      "entry 2013: unknown schedule fields: [1, 'nope']"),
+    # libyaml reads the value and build_schedule refuses it; the pure-Python
+    # parser recurses too deep to read it
+    ("battery_unit_cost: 7500", "battery_unit_cost: " + "[" * 5000 + "]" * 5000,
+     ("entry 2010: battery_unit_cost: expected a finite number, got [[[[[[[...]]]]]]]",
+      "invalid YAML (nested too deeply to parse)")),
+    # int() reads at most 4,300 digits, and a date needs a month of 1..12
+    ("battery_unit_cost: 7500", "battery_unit_cost: " + "9" * 5001,
+     _unreadable("an integer", 18, 24, "    battery_unit_cost: " + "9" * 32 + " ... ")),
+    ("  - year: 2013", "  - year: " + "9" * 5001,
+     _unreadable("an integer", 47, 11, "  - year: " + "9" * 32 + " ... ")),
+    ("  - year: 2013", "  - year: 2013-13-45",
+     _unreadable("a date", 47, 11, "  - year: 2013-13-45")),
 ], ids=["year-word", "year-bool", "year-inf", "year-nan", "year-fraction", "span-null",
-        "year-repeated", "year-after-span-start", "unknown-keys-of-two-types"])
-def test_scenario_fault_is_named_in_the_tools_own_words(tmp_path, capsys, old, new, message):
+        "year-repeated", "year-after-span-start", "unknown-keys-of-two-types", "value-deep",
+        "value-5001-digits", "year-5001-digits", "year-impossible-date"])
+def test_scenario_fault_is_named_in_the_tools_own_words(tmp_path, capsys, monkeypatch,
+                                                        old, new, message):
+    """Under each YAML loader; `message` is one text for both, or a (libyaml,
+    pure-Python) pair."""
     text = config.scenario_path("long-range").read_text()
     assert old in text
     bad = tmp_path / "bad.yaml"
     bad.write_text(text.replace(old, new, 1))
-    assert run(["tco", "--scenario", str(bad)]) == 1
-    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    for loader in (config._Loader, yaml.SafeLoader):
+        expected = message[loader is yaml.SafeLoader] if isinstance(message, tuple) else message
+        monkeypatch.setattr(config, "_Loader", loader)
+        assert run(["tco", "--scenario", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {expected}\n"
+        for leak in ("runtime error", "Exceeds the limit", "maximum recursion depth"):
+            assert leak not in err
 
 
 @pytest.mark.parametrize("old, new, message", [

@@ -170,6 +170,23 @@ def test_objective_penalises_negative_raw_flows():
         residuals + PENALTY_WEIGHT * penalty, rel=1e-12)
 
 
+@pytest.mark.parametrize("vanilla", [True, False], ids=["vanilla", "generalized"])
+def test_objective_is_a_one_row_fit_evaluation_bit_for_bit(vanilla, lr_series, china_sales):
+    """objective scores a parameter vector as a fit with m pinned scores the
+    genome of its other genes, to the last bit."""
+    premiums = None if vanilla else lr_series
+    cfg = FitConfig()
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        genes = {g: rng.uniform(*DEFAULT_BOUNDS[g]) for g in DEFAULT_BOUNDS}
+        params = BassParams(**{**genes, **({"beta": 0.0} if vanilla else {})})
+        problem = fitting._FitProblem(china_sales, premiums, cfg, {"m": params.m})
+        genome = np.array([[getattr(params, g) for g in problem.genes]])
+        expected = float(problem.evaluate(genome)[0])
+        assert math.isfinite(expected)
+        assert objective(params, china_sales, premiums, cfg) == expected
+
+
 # --- r_squared ----------------------------------------------------------------
 
 def test_r_squared_perfect_and_mean():
