@@ -25,6 +25,12 @@ DATA_DIR = Path(__file__).with_name("data")     # built-in scenarios and the sam
 # libyaml's parser feeds the same SafeConstructor and resolver as the
 # pure-Python one, so both build the same documents; only the speed differs.
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The YAML 1.2 core schema's plain scalars, ints in decimal only, and the merge key.
+_CORE_RULES = (("bool", "true|True|TRUE|false|False|FALSE", "tTfF"),
+               ("int", "[-+]?[0-9]+", "-+0123456789"),
+               ("float", r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?"
+                         r"|[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)", "-+.0123456789"),
+               ("null", "~|null|Null|NULL|", ["~", "n", "N", ""]), ("merge", "<<", "<"))
 
 
 class ConfigError(ValueError):
@@ -76,12 +82,9 @@ def _named_faults(construct, what: str, loader, node):
 
 @functools.cache
 def _unique_keys(loader: type) -> type:
-    """`loader`, except that a key repeated in one mapping is an error where
-    PyYAML keeps the last value, and that a plain number with an exponent
-    reads as a float where YAML 1.1 reads it as text: without a dot or an
-    exponent sign, or with no digit on one side of the dot (7.5e3, 1e3,
-    2E+4, .5e3, 7.e3), and that an int or date scalar that cannot be read
-    is a YAML error. A key may still override a merged (<<) one."""
+    """`loader`, except that a repeated key is an error where PyYAML keeps the
+    last value, that plain scalars follow YAML 1.2 (017 is 17; 12:30, yes and
+    dates are text), and that an unreadable int or date is a YAML error."""
     class UniqueKeyLoader(loader):
         def construct_mapping(self, node, deep=False):
             own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
@@ -95,14 +98,16 @@ def _unique_keys(loader: type) -> type:
                         "while constructing a mapping", node.start_mark,
                         f"found duplicate key {key!r}", own[i].start_mark)
             return mapping
+    UniqueKeyLoader.yaml_implicit_resolvers = {}
+    for kind, rule, first in _CORE_RULES:
+        UniqueKeyLoader.add_implicit_resolver(
+            f"tag:yaml.org,2002:{kind}", re.compile(f"^(?:{rule})$"), list(first))
+    UniqueKeyLoader.add_constructor(    # 017 is 17, as int() reads it
+        "tag:yaml.org,2002:int", lambda self, node: int(self.construct_scalar(node)))
     for kind, what in (("int", "an integer"), ("timestamp", "a date")):
         tag = f"tag:yaml.org,2002:{kind}"
         UniqueKeyLoader.add_constructor(tag, functools.partial(
             _named_faults, UniqueKeyLoader.yaml_constructors[tag], what))
-    UniqueKeyLoader.add_implicit_resolver(     # copies the resolver table first
-        "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
-        list("-+.0123456789"))
     return UniqueKeyLoader
 
 

@@ -7,9 +7,10 @@ Consumption intensities are per-100km, so fuel terms divide by 100.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from typing import Literal, get_args
+from typing import Literal, Mapping, get_args
 
 # The green premium's three stages, in the order `parity` reports them.
 PremiumKind = Literal["lifecycle", "acquisition", "production"]
@@ -23,11 +24,6 @@ class DomainError(ValueError):
 class VehicleKind(str, Enum):
     EV = "ev"
     ICEV = "icev"
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 @dataclass(frozen=True)
@@ -98,34 +94,61 @@ class VehicleScenario:
     consumer_battery_replacements: int = 0
 
     def __post_init__(self) -> None:
-        _require(min(self.battery_unit_cost, self.motor_unit_cost,
-                     self.motor_power, self.other_hv_cost) >= 0,
-                 "EV powertrain costs must be non-negative")
-        _require(self.battery_capacity > 0, "battery_capacity must be > 0")
-        _require(self.engine_intake_exhaust_cost >= 0 and self.transmission_cost >= 0,
-                 "ICEV powertrain costs must be non-negative")
-        _require(0.0 <= self.purchase_tax_rate <= 1.0,
-                 "purchase_tax_rate must be in [0, 1]")
-        _require(self.credit_price >= 0, "credit_price must be >= 0")
-        _require(self.nev_credits_threshold >= 0,
-                 "nev_credits_threshold must be >= 0")
-        _require(isinstance(self.lifecycle_years, int) and self.lifecycle_years >= 1,
-                 "lifecycle_years must be an integer >= 1")
-        _require(min(self.annual_km, self.ev_consumption, self.icev_consumption,
-                     self.electricity_price, self.gasoline_price,
-                     self.ev_maintenance, self.icev_maintenance) >= 0,
-                 "usage rates must be non-negative")
-        _require(self.discount_rate > -1.0, "discount_rate must be > -1")
-        _require(self.ev_residual >= 0 and self.icev_residual >= 0,
-                 "residual values must be non-negative")
+        # `not a >= 0 or b < 0 or ...` rejects what `not min(a, b, ...) >= 0`
+        # does: a NaN fails in the first place and is passed over in any other.
+        if (not self.battery_unit_cost >= 0 or self.motor_unit_cost < 0
+                or self.motor_power < 0 or self.other_hv_cost < 0):
+            raise ValueError("EV powertrain costs must be non-negative")
+        if not self.battery_capacity > 0:
+            raise ValueError("battery_capacity must be > 0")
+        if not (self.engine_intake_exhaust_cost >= 0 and self.transmission_cost >= 0):
+            raise ValueError("ICEV powertrain costs must be non-negative")
+        if not 0.0 <= self.purchase_tax_rate <= 1.0:
+            raise ValueError("purchase_tax_rate must be in [0, 1]")
+        if not self.credit_price >= 0:
+            raise ValueError("credit_price must be >= 0")
+        if not self.nev_credits_threshold >= 0:
+            raise ValueError("nev_credits_threshold must be >= 0")
+        if not (isinstance(self.lifecycle_years, int) and self.lifecycle_years >= 1):
+            raise ValueError("lifecycle_years must be an integer >= 1")
+        if (not self.annual_km >= 0 or self.ev_consumption < 0 or self.icev_consumption < 0
+                or self.electricity_price < 0 or self.gasoline_price < 0
+                or self.ev_maintenance < 0 or self.icev_maintenance < 0):
+            raise ValueError("usage rates must be non-negative")
+        if not self.discount_rate > -1.0:
+            raise ValueError("discount_rate must be > -1")
+        if not (self.ev_residual >= 0 and self.icev_residual >= 0):
+            raise ValueError("residual values must be non-negative")
         if self.ev_price_margin is not None:
             object.__setattr__(self, "ev_price",
                                (1.0 + self.ev_price_margin) * production_cost_ev(self))
         if self.icev_price_margin is not None:
             object.__setattr__(self, "icev_price",
                                (1.0 + self.icev_price_margin) * production_cost_icev(self))
-        _require(min(self.ev_price, self.icev_price, self.common_base_cost) >= 0,
-                 "prices must be non-negative")
+        if not self.ev_price >= 0 or self.icev_price < 0 or self.common_base_cost < 0:
+            raise ValueError("prices must be non-negative")
+
+
+# Each field in order, with its default or MISSING. A snapshot's __dict__ is
+# built in this order, the one the generated __init__ sets, which keeps
+# attribute lookups on the fast path.
+_TEMPLATE = {f.name: f.default for f in fields(VehicleScenario)}
+_REQUIRED = frozenset(name for name, default in _TEMPLATE.items() if default is MISSING)
+
+
+def snapshot(values: Mapping[str, object]) -> VehicleScenario:
+    """The VehicleScenario `VehicleScenario(**values)` makes, built without the
+    generated 34-argument __init__: the defaults, then `values`, fill a new
+    instance's __dict__, and __post_init__ checks it and derives margin-set
+    prices. `values` names `year` and every field without a default."""
+    full = {**_TEMPLATE, **values}
+    if len(full) != len(_TEMPLATE) or not values.keys() >= _REQUIRED:
+        raise TypeError(f"VehicleScenario fields missing {sorted(_REQUIRED - values.keys())}, "
+                        f"unknown {sorted(full.keys() - _TEMPLATE.keys(), key=repr)}")
+    sc = object.__new__(VehicleScenario)
+    object.__setattr__(sc, "__dict__", full)
+    sc.__post_init__()
+    return sc
 
 
 def replace_field(sc: VehicleScenario, name: str, value) -> VehicleScenario:
@@ -139,10 +162,7 @@ def replace_field(sc: VehicleScenario, name: str, value) -> VehicleScenario:
     if name in ("ev_price", "icev_price") and values[f"{name}_margin"] is not None:
         raise ValueError(f"{name} is derived from {name}_margin; set the margin instead")
     values[name] = value
-    moved = object.__new__(VehicleScenario)
-    moved.__dict__.update(values)
-    moved.__post_init__()
-    return moved
+    return snapshot(values)
 
 
 # --- production stage ---------------------------------------------------
@@ -204,19 +224,28 @@ def tco_npv(sc: VehicleScenario, kind: VehicleKind) -> float:
     """
     compound = 1.0 + sc.discount_rate
     n = sc.lifecycle_years
+    # a lifecycle longer than a schedule allows (100 years) is not cached
+    powers = (discount_powers if n <= 100 else discount_powers.__wrapped__)(compound, n)
     operating = annual_operating_cost(sc, kind)
     residual = sc.ev_residual if kind is VehicleKind.EV else sc.icev_residual
     total = effective_acquisition_cost(sc, kind)
-    for t in range(1, n + 1):
-        total += operating / compound ** t
+    for power in powers:
+        total += operating / power
     if kind is VehicleKind.EV and sc.consumer_battery_replacements > 0:
         count = sc.consumer_battery_replacements
         pack_cost = sc.battery_unit_cost * sc.battery_capacity
         for k in range(1, count + 1):
             event_year = max(1, round(k * n / (count + 1)))
-            total += pack_cost / compound ** event_year
-    total -= residual / compound ** n
+            total += pack_cost / powers[event_year - 1]
+    total -= residual / powers[-1]
     return total
+
+
+@functools.lru_cache(maxsize=64)
+def discount_powers(compound: float, years: int) -> tuple[float, ...]:
+    """(compound ** 1, ..., compound ** years), the divisors `tco_npv` discounts
+    year t by; most snapshots of a run share their rate and lifecycle."""
+    return tuple([compound ** t for t in range(1, years + 1)])
 
 
 def lcod(tco: float, sc: VehicleScenario) -> float:

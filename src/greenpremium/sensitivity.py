@@ -94,23 +94,27 @@ def sensitivity_table(base: cm.VehicleScenario, factors: Sequence[FactorSpec],
     return rows, errors
 
 
+# The shipped factors, built once; FactorSpec is frozen, so callers may share them.
+_DEFAULT_FACTORS = (
+    FactorSpec("battery_800", "battery_unit_cost", "Battery (800)", "Production", base=800.0),
+    FactorSpec("battery_650", "battery_unit_cost", "Battery (650)", "Production", base=650.0),
+    FactorSpec("battery_500", "battery_unit_cost", "Battery (500)", "Production", base=500.0),
+    FactorSpec("credit", "credit_price", "Credit", "Subsidy"),
+    FactorSpec("tax_rate", "purchase_tax_rate", "Tax Rate (10%)", "Subsidy"),
+    FactorSpec("subsidy", "acquisition_subsidy", "Subsidy", "Subsidy"),
+    FactorSpec("oil_cost_6l", "icev_consumption", "Oil Cost (6L)", "Cost", base=6.0),
+    FactorSpec("oil_cost_4l", "icev_consumption", "Oil Cost (4L)", "Cost", base=4.0),
+    FactorSpec("elec_cost", "ev_consumption", "Elec Cost (13kWh)", "Cost"),
+    FactorSpec("annual_range", "annual_km", "Range (15000)", "Cost"),
+    FactorSpec("elec_price", "electricity_price", "Elec Price (1.2)", "Cost"),
+    FactorSpec("oil_price", "gasoline_price", "Oil Price (7.5)", "Cost"),
+    FactorSpec("ev_residual", "ev_residual", "EV Residual", "Residual"),
+    FactorSpec("discount_rate", "discount_rate", "Discount Rate", "Residual"),
+)
+
+
 def default_factors() -> tuple[FactorSpec, ...]:
     """The shipped factor set: battery-cost tiers, policy levers, running
     costs (fuel consumption evaluated at 6 and 4 L/100km baselines), and
     residual/financing terms."""
-    return (
-        FactorSpec("battery_800", "battery_unit_cost", "Battery (800)", "Production", base=800.0),
-        FactorSpec("battery_650", "battery_unit_cost", "Battery (650)", "Production", base=650.0),
-        FactorSpec("battery_500", "battery_unit_cost", "Battery (500)", "Production", base=500.0),
-        FactorSpec("credit", "credit_price", "Credit", "Subsidy"),
-        FactorSpec("tax_rate", "purchase_tax_rate", "Tax Rate (10%)", "Subsidy"),
-        FactorSpec("subsidy", "acquisition_subsidy", "Subsidy", "Subsidy"),
-        FactorSpec("oil_cost_6l", "icev_consumption", "Oil Cost (6L)", "Cost", base=6.0),
-        FactorSpec("oil_cost_4l", "icev_consumption", "Oil Cost (4L)", "Cost", base=4.0),
-        FactorSpec("elec_cost", "ev_consumption", "Elec Cost (13kWh)", "Cost"),
-        FactorSpec("annual_range", "annual_km", "Range (15000)", "Cost"),
-        FactorSpec("elec_price", "electricity_price", "Elec Price (1.2)", "Cost"),
-        FactorSpec("oil_price", "gasoline_price", "Oil Price (7.5)", "Cost"),
-        FactorSpec("ev_residual", "ev_residual", "EV Residual", "Residual"),
-        FactorSpec("discount_rate", "discount_rate", "Discount Rate", "Residual"),
-    )
+    return _DEFAULT_FACTORS

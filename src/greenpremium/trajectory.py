@@ -100,8 +100,8 @@ class ScenarioSchedule:
         """
         if not (self.span[0] <= year <= self.span[1]):
             where = "" if self.source is None else f"{self.source}: "
-            raise SpanError(f"{where}year {year} outside schedule span "
-                            f"{self.span[0]}..{self.span[1]}")
+            raise SpanError(f"{where}year {shown(year)} outside schedule span "
+                            f"{shown(self.span[0])}..{shown(self.span[1])}")
         out = {}
         for name, (years, values) in self.tracks.items():
             i = bisect_right(years, year)     # years[i - 1] <= year < years[i]
@@ -216,8 +216,9 @@ def resolve_scenario(sched: ScenarioSchedule, year: int) -> cm.VehicleScenario:
     for name in INTEGER_FIELDS:
         if name in v:
             v[name] = int(v[name])
+    v["year"] = year
     try:
-        return cm.VehicleScenario(year, **v)
+        return cm.snapshot(v)
     except ValueError as exc:
         raise year_error(sched, year, exc) from exc
 

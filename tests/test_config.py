@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from decimal import Decimal
 
 import pytest
@@ -223,11 +224,15 @@ def _unreadable(what, line, column, source_line):
      _unreadable("an integer", 18, 24, "    battery_unit_cost: " + "9" * 32 + " ... ")),
     ("  - year: 2013", "  - year: " + "9" * 5001,
      _unreadable("an integer", 47, 11, "  - year: " + "9" * 32 + " ... ")),
+    # a plain date is text under YAML 1.2; only a tagged one reaches the date reader
     ("  - year: 2013", "  - year: 2013-13-45",
-     _unreadable("a date", 47, 11, "  - year: 2013-13-45")),
+     "entries[1]: year: expected an integer, got '2013-13-45'"),
+    ("  - year: 2013", "  - year: !!timestamp 2013-13-45",
+     _unreadable("a date", 47, 11, "  - year: !!timestamp 2013-13-45")),
 ], ids=["year-word", "year-bool", "year-inf", "year-nan", "year-fraction", "span-null",
         "year-repeated", "year-after-span-start", "unknown-keys-of-two-types", "value-deep",
-        "value-5001-digits", "year-5001-digits", "year-impossible-date"])
+        "value-5001-digits", "year-5001-digits", "year-impossible-date",
+        "year-tagged-impossible-date"])
 def test_scenario_fault_is_named_in_the_tools_own_words(tmp_path, capsys, monkeypatch,
                                                         old, new, message):
     """Under each YAML loader; `message` is one text for both, or a (libyaml,
@@ -330,6 +335,59 @@ def test_integral_floats_load_as_their_integers(tmp_path):
         assert run(["premium-series", "--scenario", scenario, "--out", str(out)]) == 0
         outputs.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
     assert outputs[0] == outputs[1]
+
+
+# Plain scalars read by the YAML 1.2 core rules, where YAML 1.1 reads
+# another number (017 as 15, 12:30 as 750), a bool (yes, on) or text (7.5e3).
+CORE_SCALARS = {
+    "017": 17, "-017": -17, "+0": 0, "12:30": "12:30", "1:00:00": "1:00:00", "1_0_00": "1_0_00",
+    "0b1": "0b1", "0x1F": "0x1F", "0x10": "0x10", "0o17": "0o17", "1:30.5": "1:30.5",
+    "yes": "yes", "on": "on", "No": "No", "off": "off", "2013-12-01": "2013-12-01", "=": "=",
+    "true": True, "FALSE": False, "~": None, "null": None, "": None, "7.": 7.0, "-.5": -0.5,
+    ".e3": ".e3", "1.2.3e4": "1.2.3e4", "1e": "1e", ".": ".", "+": "+",
+    # the exponent forms, as the decimal numbers they stand for
+    **{exponent.split(": ")[1]: float(decimal.split(": ")[1])
+       for decimal, exponent in EXPONENT_FORMS.items()},
+}
+
+
+@pytest.mark.parametrize("text, value", CORE_SCALARS.items(), ids=list(CORE_SCALARS))
+def test_plain_scalars_follow_the_yaml_1_2_core_rules(text, value, loader):
+    got = yaml.load(f"x: {text}\n", Loader=config._unique_keys(config._Loader))["x"]
+    assert (type(got), got) == (type(value), value)
+
+
+def test_special_floats_follow_the_yaml_1_2_core_rules(loader):
+    doc = yaml.load("[.inf, -.Inf, +.INF, .nan, .NaN, .NAN, +.nan]",
+                    Loader=config._unique_keys(config._Loader))
+    assert doc[:3] == [math.inf, -math.inf, math.inf]
+    assert all(map(math.isnan, doc[3:6])) and doc[6] == "+.nan"
+
+
+def test_a_sexagesimal_value_exits_1_naming_the_key(tmp_path, capsys, loader):
+    """YAML 1.1 read 12:30 as 750 and priced it."""
+    text = config.scenario_path("long-range").read_text()
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text.replace("battery_unit_cost: 7500\n", "battery_unit_cost: 12:30\n"))
+    assert run(["tco", "--scenario", str(bad), "--year", "2010"]) == 1
+    assert capsys.readouterr().err == (f"error: {bad}: entry 2010: battery_unit_cost: "
+                                       "expected a finite number, got '12:30'\n")
+
+
+# The core schema's decimal int and its finite float, as the YAML 1.2 spec writes them.
+CORE_INT = r"[-+]?[0-9]+"
+CORE_FLOAT = r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?"
+
+
+@given(text=st.from_regex(CORE_INT, fullmatch=True) | st.from_regex(CORE_FLOAT, fullmatch=True))
+@settings(max_examples=300, deadline=None)
+def test_core_numbers_load_as_int_or_float_of_their_text(text):
+    for base in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        got = yaml.load(f"x: {text}\n", Loader=config._unique_keys(base))["x"]
+        if re.fullmatch(CORE_INT, text):
+            assert type(got) is int and got == int(text), text
+        else:
+            assert type(got) is float and got.hex() == float(text).hex(), text
 
 
 @st.composite

@@ -513,3 +513,64 @@ def test_replace_field_top_level_margin_rederives_prices(lr_2021):
     moved = cm.replace_field(lr_2021, "ev_price_margin", 0.25)
     assert moved.ev_price == 1.25 * cm.production_cost_ev(moved)
     assert moved.icev_price == lr_2021.icev_price
+
+
+# --- the inline checks and the discount table ----------------------------------
+
+# Checks of several values at once, which reject what `min(values) >= 0` rejects.
+MIN_CHECKS = {
+    "EV powertrain costs": ("battery_unit_cost", "motor_unit_cost", "motor_power",
+                            "other_hv_cost"),
+    "usage rates": ("annual_km", "ev_consumption", "icev_consumption", "electricity_price",
+                    "gasoline_price", "ev_maintenance", "icev_maintenance"),
+    "prices": ("ev_price", "icev_price", "common_base_cost"),
+}
+
+
+@pytest.mark.parametrize("message, name", [
+    (message, name) for message, names in MIN_CHECKS.items() for name in names])
+@pytest.mark.parametrize("value", [math.nan, -1.0, 0.0])
+def test_multi_value_checks_reject_what_min_rejects(message, name, value):
+    """A NaN fails in the first place and is passed over in any other, as min() has it."""
+    values = {**scenario_2021().__dict__, name: value}
+    rejected = not min(values[k] for k in MIN_CHECKS[message]) >= 0
+    for build in (lambda: cm.VehicleScenario(**values), lambda: cm.snapshot(values)):
+        if rejected:
+            with pytest.raises(ValueError, match=f"^{message} must be non-negative$"):
+                build()
+        else:
+            build()
+
+
+def plain_tco(sc, kind):
+    """tco_npv's sum, term by term in its order, with each power computed in place."""
+    compound = 1.0 + sc.discount_rate
+    n = sc.lifecycle_years
+    operating = cm.annual_operating_cost(sc, kind)
+    total = cm.effective_acquisition_cost(sc, kind)
+    for t in range(1, n + 1):
+        total += operating / compound ** t
+    if kind is VehicleKind.EV:
+        count = sc.consumer_battery_replacements
+        for k in range(1, count + 1):
+            total += (sc.battery_unit_cost * sc.battery_capacity
+                      / compound ** max(1, round(k * n / (count + 1))))
+    residual = sc.ev_residual if kind is VehicleKind.EV else sc.icev_residual
+    return total - residual / compound ** n
+
+
+@given(rate=st.floats(-0.5, 1.0), years=st.integers(1, 100), swaps=st.integers(0, 100))
+@settings(max_examples=200, deadline=None)
+def test_tco_npv_equals_the_plain_loop_bit_for_bit(rate, years, swaps):
+    sc = scenario_2021(discount_rate=rate, lifecycle_years=years,
+                       consumer_battery_replacements=swaps)
+    for kind in VehicleKind:
+        assert cm.tco_npv(sc, kind).hex() == plain_tco(sc, kind).hex(), kind
+
+
+def test_a_lifecycle_longer_than_a_schedule_allows_is_priced_but_not_cached():
+    sc = scenario_2021(discount_rate=0.0625, lifecycle_years=150)
+    cached = cm.discount_powers.cache_info()
+    for kind in VehicleKind:
+        assert cm.tco_npv(sc, kind).hex() == plain_tco(sc, kind).hex()
+    assert cm.discount_powers.cache_info() == cached    # not looked up, not stored

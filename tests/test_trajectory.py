@@ -384,3 +384,65 @@ def test_evaluate_returns_the_tcos_evaluate_year_used(lr_2021):
     assert point.tco_icev == cm.tco_npv(lr_2021, cm.VehicleKind.ICEV)
     assert point.lifecycle == cm.premium("lifecycle", point.tco_ev, point.tco_icev)
     assert point.lcod_ev == cm.lcod(point.tco_ev, lr_2021)
+
+
+# --- the snapshot builder ------------------------------------------------------
+
+def _snapshot_bits(sc):
+    return [(f.name, *_bits(getattr(sc, f.name))) for f in dataclasses.fields(sc)]
+
+
+@pytest.mark.parametrize("name", [*config.BUILTIN_SCENARIOS, "without-optional-keys"])
+def test_resolve_scenario_builds_what_the_generated_init_builds(name):
+    """`cm.snapshot` fills a snapshot without VehicleScenario.__init__; every
+    field equals, bit for bit, what the keyword call makes of the same values."""
+    if name == "without-optional-keys":
+        sched = battery_only_schedule()     # margins only, no battery replacements
+        assert {"ev_price", "icev_price", "consumer_battery_replacements"}.isdisjoint(
+            sched.tracks)
+    else:
+        sched = config.load_schedule(name)
+    for year in range(sched.span[0], sched.span[1] + 1):
+        built = tj.resolve_scenario(sched, year)
+        assert _snapshot_bits(built) == _snapshot_bits(
+            cm.VehicleScenario(year, **sched.values_at(year))), year
+
+
+def test_a_built_snapshot_stays_frozen(lr_2021):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lr_2021.battery_unit_cost = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cm.replace_field(lr_2021, "annual_km", 1.0).year = 2000
+
+
+def test_a_built_snapshot_that_fails_a_check_names_the_file_and_year():
+    sched = battery_only_schedule()
+    tracks = {**sched.tracks, "annual_km": ([2010, 2030], [15000, -15000])}
+    sched = dataclasses.replace(sched, tracks=tracks, source="lr.yaml")
+    assert tj.resolve_scenario(sched, 2020).annual_km == 0
+    with pytest.raises(tj.ScheduleError,
+                       match=r"^lr\.yaml: year 2021: usage rates must be non-negative$"):
+        tj.resolve_scenario(sched, 2021)
+
+
+def test_snapshot_takes_exactly_the_snapshot_fields(lr_2021):
+    values = dict(lr_2021.__dict__)
+    assert cm.snapshot(values) == lr_2021
+    del values["annual_km"]
+    with pytest.raises(TypeError, match=r"missing \['annual_km'\], unknown \[\]"):
+        cm.snapshot(values)
+    with pytest.raises(TypeError, match=r"missing \[\], unknown \['nope'\]"):
+        cm.snapshot({**lr_2021.__dict__, "nope": 1})
+
+
+@pytest.mark.parametrize("digits", [4000, 5000])
+def test_span_error_shows_a_long_span_year_cut_short(digits):
+    """int-to-str converts at most 4,300 digits; a longer year shows as its bit length."""
+    doc = {**battery_only_doc(), "span": [2010, 10 ** digits - 1]}
+    sched = dataclasses.replace(tj.build_schedule(doc), source="wide.yaml")
+    with pytest.raises(tj.SpanError) as raised:
+        sched.values_at(2009)
+    message = str(raised.value)
+    assert message.startswith("wide.yaml: year 2009 outside schedule span 2010..")
+    assert len(message) < 120
+    assert ("..." in message) if digits < 4300 else message.endswith("-bit integer>")
