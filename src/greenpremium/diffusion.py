@@ -73,16 +73,23 @@ def flows(p, q, m, beta, dp3, initial: float = 0.0) -> tuple[np.ndarray, np.ndar
     """
     p, q, m, beta = (np.ascontiguousarray(a, dtype=float) for a in
                      np.broadcast_arrays(*np.atleast_1d(p, q, m, beta)))
-    dp3 = np.asarray(dp3, dtype=float)
+    out, raw = _recursion(p, q, m, beta, np.asarray(dp3, dtype=float), len(p), initial)
+    return out.T, raw.T
+
+
+def _recursion(p, q, m, beta, dp3: np.ndarray, rows: int,
+               initial: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """`flows` for arguments it has already normalized: p, q, m and beta are
+    floats or contiguous float arrays of `rows` values. The blocks come back
+    as (years, rows)."""
     # One block, not two, so the allocator reuses it instead of mapping fresh pages.
-    raw, out = np.empty((2, len(dp3), len(p)))
+    raw, out = np.empty((2, len(dp3), rows))
     # Each year's x = decision_coefficient(dp3, beta) = 1 + dp3*beta, made in
     # place, waits in that year's row of out until the year's flow replaces it.
     np.multiply(dp3[:, None], beta, out=out)
     out += 1.0
-    cumulative = np.minimum(initial, m)
-    remaining = np.empty_like(cumulative)
-    scratch = np.empty_like(cumulative)
+    cumulative, remaining, scratch = np.empty((3, rows))
+    np.minimum(initial, m, out=cumulative)
     for r, f in zip(raw, out):
         # r = (p*(m - N) + q*(N/m)*(m - N)) * x in place, rounding as the formula does
         np.subtract(m, cumulative, out=remaining)
@@ -95,7 +102,7 @@ def flows(p, q, m, beta, dp3, initial: float = 0.0) -> tuple[np.ndarray, np.ndar
         np.maximum(r, 0.0, out=f)
         np.minimum(f, remaining, out=f)
         cumulative += f
-    return out.T, raw.T
+    return out, raw
 
 
 def simulate(params: BassParams,

@@ -11,13 +11,17 @@ generator drawn in a fixed order, so a seed fully determines the result.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .diffusion import BassParams, flows, simulate
+from .diffusion import BassParams, _recursion, simulate
 from .trajectory import PremiumSeries
 
 
@@ -163,19 +167,18 @@ class _FitProblem:
 
     def evaluate(self, genomes: np.ndarray) -> np.ndarray:
         """Weighted SSE + positivity penalty for each genome row."""
-        cols = {**self.fixed, **dict(zip(self.genes, genomes.T))}
-        flow, raw = flows(cols["p"], cols["q"], cols["m"], cols["beta"], self.dp3)
+        cols = {**self.fixed, **dict(zip(self.genes, np.ascontiguousarray(genomes.T)))}
+        flow, raw = _recursion(cols["p"], cols["q"], cols["m"], cols["beta"], self.dp3,
+                               len(genomes))
         # Both terms are built as (years, rows) blocks in raw's memory, the
         # squared negative raw flows first, then the weighted squared residuals.
-        raw = raw.T
-        np.negative(raw, out=raw)
-        np.maximum(raw, 0.0, out=raw)
+        np.minimum(raw, 0.0, out=raw)
         np.square(raw, out=raw)
         # Sums run year by year; a pairwise sum over years would move last bits.
         penalty = np.zeros(len(genomes))
         for term in raw:
             penalty += term
-        residual = flow.T.take(self.columns, axis=0, out=raw[:len(self.columns)])
+        residual = flow.take(self.columns, axis=0, out=raw[:len(self.columns)])
         residual -= self.seen
         np.square(residual, out=residual)
         residual *= self.weights
@@ -269,9 +272,9 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
     # A genome whose squared error overflows scores inf and loses every tournament.
     with np.errstate(over="ignore"):
         fitness = problem.evaluate(pop)
-        best_obj = float(np.min(fitness))
+        order = int(np.argmin(fitness))     # the best genome, NaN first, as np.min reads
+        best_obj = float(fitness[order])
         for _ in range(cfg.max_generations):
-            order = int(np.argmin(fitness))
             next_pop[0] = pop[order]
             next_fitness[0] = fitness[order]
             _breed(rng, pop, fitness, next_pop[1:], lo_rows, hi_rows, sigma_rows)
@@ -281,7 +284,8 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
             pop, next_pop = next_pop, pop
             fitness, next_fitness = next_fitness, fitness
 
-            gen_best = float(np.min(fitness))
+            order = int(np.argmin(fitness))
+            gen_best = float(fitness[order])
             history.append(gen_best)
             stale = 0 if best_obj - gen_best > STAGNATION_TOL else stale + 1
             best_obj = min(best_obj, gen_best)
@@ -293,7 +297,7 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
         raise FitError("degenerate fit: no genome has a finite objective; the squared "
                        "error overflows, and the sales (in thousand vehicles), m_value "
                        "and late_weight scale it")
-    params = problem.params(pop[int(np.argmin(fitness))])
+    params = problem.params(pop[order])
     # Clamping puts a gene exactly on its bound, so == finds it.
     at_bounds = tuple((g, "lower" if getattr(params, g) == DEFAULT_BOUNDS[g][0] else "upper")
                       for g in gene_names if getattr(params, g) in DEFAULT_BOUNDS[g])
@@ -349,15 +353,58 @@ def r_squared(predicted: Sequence[float], observed: Sequence[float]) -> float:
     return 1.0 - sse / sst
 
 
+def _fits_in_parallel() -> bool:
+    """Whether `compare_models` forks: this process may run on two CPUs or
+    more, and it runs no other Python thread, which a fork would not copy."""
+    cpus = getattr(os, "sched_getaffinity", None)
+    return cpus is not None and len(cpus(0)) >= 2 and threading.active_count() == 1
+
+
 def compare_models(obs: ObservationSeries, premiums: PremiumSeries | None,
                    cfg: FitConfig) -> tuple[FitResult, FitResult]:
     """Fit with and without the cost-gap term under identical settings.
 
     Returns (vanilla, generalized); the vanilla run pins beta to zero by
-    ignoring the premium series entirely.
+    ignoring the premium series entirely. Where `_fits_in_parallel` holds,
+    the vanilla fit runs in a forked child while this process fits the
+    generalized model. Each fit seeds its own generator, so the results are
+    the same either way, and so is the error: vanilla's before generalized's.
     """
     if premiums is None or not premiums.points:
         raise FitError("compare_models requires a non-empty premium series")
-    vanilla = ga_fit(obs, None, cfg)
-    generalized = ga_fit(obs, premiums, cfg)
+    if not _fits_in_parallel():
+        vanilla = ga_fit(obs, None, cfg)
+        return vanilla, ga_fit(obs, premiums, cfg)
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ counts numpy's BLAS pool too; it sits idle, and no fit calls BLAS.
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:    # the child: the pickled vanilla fit, or nothing if the fit raised
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(ga_fit(obs, None, cfg)))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    error = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            try:
+                generalized = ga_fit(obs, premiums, cfg)
+            except Exception as exc:    # raised once vanilla is known to succeed
+                error = exc
+            pickled = pipe.read()
+    except BaseException:   # an interrupt stops the child too
+        import signal
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    # A child that wrote nothing failed; fitting again here raises its error.
+    vanilla = pickle.loads(pickled) if pickled else ga_fit(obs, None, cfg)
+    if error is not None:
+        raise error
     return vanilla, generalized

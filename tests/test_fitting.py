@@ -1,6 +1,8 @@
 import math
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -526,21 +528,124 @@ def test_compare_models_premium_coupled_data(smooth_window):
     assert vanilla.params.beta == 0.0
 
 
+def on_cpus(monkeypatch, n):
+    """Let compare_models see `n` CPUs: two or more fork the vanilla fit
+    (when no other thread runs), one keeps both fits in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_compare_models_fits_through_ga_fit_once_per_model(smooth_window, monkeypatch):
     # perfbench's per-layer fitting.* metrics are read from ga_fit spans only.
-    calls = []
-
-    def recording_ga_fit(obs, premiums, cfg):
-        calls.append((obs, premiums, cfg))
-        return len(calls)
-
-    monkeypatch.setattr(fitting, "ga_fit", recording_ga_fit)
+    # The recorder returns what it saw, so a call made in a forked child is
+    # checked in the child and reported through its result.
     obs = ObservationSeries(tuple((2015 + i, float(i + 1)) for i in range(6)))
     cfg = FitConfig(rng_seed=3, population_size=10, max_generations=2)
-    assert compare_models(obs, smooth_window, cfg) == (1, 2)
-    assert len(calls) == 2
-    assert calls[0][0] is obs and calls[0][1] is None and calls[0][2] is cfg
-    assert calls[1][0] is obs and calls[1][1] is smooth_window and calls[1][2] is cfg
+    calls = []
+
+    def recording_ga_fit(got_obs, premiums, got_cfg):
+        calls.append(premiums)
+        return (got_obs is obs, premiums is None, premiums is smooth_window, got_cfg is cfg,
+                len(calls), os.getpid())
+
+    monkeypatch.setattr(fitting, "ga_fit", recording_ga_fit)
+    on_cpus(monkeypatch, 2)
+    vanilla, generalized = compare_models(obs, smooth_window, cfg)
+    assert vanilla[:5] == (True, True, False, True, 1) and vanilla[5] != os.getpid()
+    assert generalized == (True, False, True, True, 1, os.getpid())
+    assert calls == [smooth_window]     # the vanilla call ran in the child
+    assert_no_child_left()
+
+    calls.clear()
+    on_cpus(monkeypatch, 1)
+    vanilla, generalized = compare_models(obs, smooth_window, cfg)
+    assert vanilla == (True, True, False, True, 1, os.getpid())
+    assert generalized == (True, False, True, True, 2, os.getpid())
+    assert calls == [None, smooth_window]
+
+
+@pytest.mark.parametrize("scenario", ["lr_series", "sr_series"])
+def test_forked_and_inline_compare_models_are_equal(china_sales, monkeypatch, request,
+                                                   scenario):
+    premiums = request.getfixturevalue(scenario)
+    for seed in range(4):
+        cfg = FitConfig(rng_seed=seed)
+        on_cpus(monkeypatch, 2)
+        forked = compare_models(china_sales, premiums, cfg)
+        on_cpus(monkeypatch, 1)
+        inline = compare_models(china_sales, premiums, cfg)
+        for got, want in zip(forked, inline):
+            assert vars(got) == vars(want)      # history included
+
+
+def test_forked_compare_models_raises_the_vanilla_fit_error(smooth_window, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    three_rows = ObservationSeries(((2015, 5.0), (2016, 6.0), (2017, 7.0)))
+    with pytest.raises(FitError, match="^need at least 4 observations$"):
+        compare_models(three_rows, smooth_window, FitConfig())
+    assert_no_child_left()
+
+    def failing_ga_fit(obs, premiums, cfg):
+        if premiums is None:
+            raise ValueError("vanilla failed")
+        raise FitError("generalized failed")
+
+    monkeypatch.setattr(fitting, "ga_fit", failing_ga_fit)
+    with pytest.raises(ValueError, match="^vanilla failed$"):
+        compare_models(three_rows, smooth_window, FitConfig())
+    assert_no_child_left()
+
+
+def test_forked_compare_models_raises_the_generalized_fit_error_after_reaping(
+        long_range, monkeypatch):
+    on_cpus(monkeypatch, 2)
+    obs = ObservationSeries(tuple((2012 + i, float(i + 1)) for i in range(8)))
+    short = tj.premium_series(long_range, range(2015, 2020))
+    cfg = FitConfig(population_size=20, max_generations=5)
+    with pytest.raises(FitError) as forked:
+        compare_models(obs, short, cfg)
+    assert_no_child_left()
+    on_cpus(monkeypatch, 1)
+    with pytest.raises(FitError) as inline:
+        compare_models(obs, short, cfg)
+    assert str(forked.value) == str(inline.value) and "2012" in str(forked.value)
+
+
+def test_interrupted_compare_models_kills_its_child(smooth_window, monkeypatch):
+    real_ga_fit = fitting.ga_fit
+
+    def interrupted_ga_fit(obs, premiums, cfg):
+        if premiums is None:
+            time.sleep(60)      # the child, killed long before it wakes
+            return real_ga_fit(obs, premiums, cfg)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fitting, "ga_fit", interrupted_ga_fit)
+    on_cpus(monkeypatch, 2)
+    obs = ObservationSeries(tuple((2015 + i, float(i + 1)) for i in range(6)))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        compare_models(obs, smooth_window, FitConfig())
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+def test_compare_models_with_a_live_thread_fits_in_this_process(smooth_window, monkeypatch):
+    monkeypatch.setattr(fitting, "ga_fit", lambda obs, premiums, cfg: os.getpid())
+    on_cpus(monkeypatch, 2)
+    obs = ObservationSeries(tuple((2015 + i, float(i + 1)) for i in range(6)))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert compare_models(obs, smooth_window, FitConfig()) == (os.getpid(), os.getpid())
+    finally:
+        release.set()
+        other.join()
 
 
 def test_compare_models_requires_premiums():
