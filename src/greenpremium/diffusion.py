@@ -61,35 +61,22 @@ def decision_coefficient(delta_p3: float, beta: float) -> float:
     return 1.0 + delta_p3 * beta
 
 
-def flows(p, q, m, beta, dp3, initial: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The adoption recursion for a batch of parameter rows.
+def flows(p, q, m, beta, dp3: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The adoption recursion for `rows` parameter rows, each starting from N = 0.
 
-    p, q, m and beta are scalars or equal-length arrays, one value per row;
-    dp3 holds one lifecycle premium per simulated year (zeros give x = 1).
-    Every row starts from min(initial, m). Returns (flows, raw), each of
-    shape (rows, years): the clamped annual flows and the pre-clamp flows.
-    All arithmetic is elementwise, so a row's result does not depend on the
-    other rows in the batch.
+    p, q, m and beta are floats or contiguous float arrays of `rows` values;
+    dp3 is a float array of one lifecycle premium per simulated year (zeros
+    give x = 1). Returns (flows, raw), each of shape (years, rows): the
+    clamped annual flows and the pre-clamp flows. All arithmetic is
+    elementwise, so a row's result does not depend on the other rows.
     """
-    p, q, m, beta = (np.ascontiguousarray(a, dtype=float) for a in
-                     np.broadcast_arrays(*np.atleast_1d(p, q, m, beta)))
-    out, raw = _recursion(p, q, m, beta, np.asarray(dp3, dtype=float), len(p), initial)
-    return out.T, raw.T
-
-
-def _recursion(p, q, m, beta, dp3: np.ndarray, rows: int,
-               initial: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """`flows` for arguments it has already normalized: p, q, m and beta are
-    floats or contiguous float arrays of `rows` values. The blocks come back
-    as (years, rows)."""
     # One block, not two, so the allocator reuses it instead of mapping fresh pages.
     raw, out = np.empty((2, len(dp3), rows))
     # Each year's x = decision_coefficient(dp3, beta) = 1 + dp3*beta, made in
     # place, waits in that year's row of out until the year's flow replaces it.
     np.multiply(dp3[:, None], beta, out=out)
     out += 1.0
-    cumulative, remaining, scratch = np.empty((3, rows))
-    np.minimum(initial, m, out=cumulative)
+    cumulative, remaining, scratch = np.zeros((3, rows))
     for r, f in zip(raw, out):
         # r = (p*(m - N) + q*(N/m)*(m - N)) * x in place, rounding as the formula does
         np.subtract(m, cumulative, out=remaining)
@@ -108,13 +95,12 @@ def _recursion(p, q, m, beta, dp3: np.ndarray, rows: int,
 def simulate(params: BassParams,
              premium_by_year: "PremiumSeries | None",
              start_year: int,
-             horizon: int,
-             initial_cumulative: float = 0.0) -> tuple[AdoptionState, ...]:
+             horizon: int) -> tuple[AdoptionState, ...]:
     """Run the annual recursion for `horizon` years from `start_year`.
 
     With a premium series, each year's flow is scaled by
     decision_coefficient(lifecycle premium, beta); the series must cover
-    every simulated year, and each coefficient must be finite.
+    every simulated year, and each coefficient and flow must be finite.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -124,10 +110,16 @@ def simulate(params: BassParams,
         if not math.isfinite(decision_coefficient(premium, params.beta)):
             raise ValueError(f"decision coefficient 1 + premium * beta is not finite "
                              f"in {year} (beta = {params.beta!r})")
-    with np.errstate(over="ignore"):    # an overflowing raw flow clamps to remaining or 0
-        flow, _ = flows(params.p, params.q, params.m, params.beta, dp3, initial_cumulative)
-    row = flow[0].tolist()
-    entering = accumulate(row, initial=min(initial_cumulative, params.m))
+    # An overflowing raw flow clamps to remaining or 0, unless x is 0: then it is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow, _ = flows(params.p, params.q, params.m, params.beta,
+                        np.array(dp3, dtype=float), 1)
+    row = flow[:, 0].tolist()
+    for year, new in zip(years, row):
+        if math.isnan(new):
+            raise ValueError(f"adoption flow is NaN in {year}: the flow before "
+                             f"1 + premium * beta overflows, and that coefficient is 0")
+    entering = accumulate(row, initial=0.0)
     return tuple(AdoptionState(year=year, cumulative=cumulative, new_adopters=flow)
                  for year, cumulative, flow in zip(years, entering, row))
 

@@ -21,7 +21,7 @@ from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .diffusion import BassParams, _recursion, simulate
+from .diffusion import BassParams, flows, simulate
 from .trajectory import PremiumSeries
 
 
@@ -168,8 +168,7 @@ class _FitProblem:
     def evaluate(self, genomes: np.ndarray) -> np.ndarray:
         """Weighted SSE + positivity penalty for each genome row."""
         cols = {**self.fixed, **dict(zip(self.genes, np.ascontiguousarray(genomes.T)))}
-        flow, raw = _recursion(cols["p"], cols["q"], cols["m"], cols["beta"], self.dp3,
-                               len(genomes))
+        flow, raw = flows(cols["p"], cols["q"], cols["m"], cols["beta"], self.dp3, len(genomes))
         # Both terms are built as (years, rows) blocks in raw's memory, the
         # squared negative raw flows first, then the weighted squared residuals.
         np.minimum(raw, 0.0, out=raw)

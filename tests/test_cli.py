@@ -855,6 +855,19 @@ def test_forecast_rejects_a_beta_whose_decision_coefficient_overflows(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_forecast_rejects_params_whose_flow_is_nan(tmp_path, capsys):
+    # p*(m - N) overflows in 2010, where this beta makes x exactly 0
+    series = tj.premium_series(config.load_schedule("long-range"), range(2010, 2011))
+    beta = -1 / series.lifecycle(2010)
+    params = tmp_path / "params.csv"
+    params.write_text(f"p,q,beta,m\n2.0,0.0,{beta!r},1e308\n")
+    assert run(["forecast", "--params", str(params)]) == 1
+    out, err = capsys.readouterr()
+    assert f"error: {params}: adoption flow is NaN in 2010" in err
+    assert "nan" not in out.lower()
+
+
 def test_compare_reports_parameter_on_bound(tmp_path, capsys):
     sales = str(config.sample_sales_path())
     out = run_to_file(tmp_path, "cmp.csv", ["compare", "--data", sales, "--seed", "0"])

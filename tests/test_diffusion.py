@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from greenpremium import config
 from greenpremium import trajectory as tj
 from greenpremium.diffusion import (AdoptionState, BassParams,
                                     closed_form_cumulative,
@@ -24,32 +25,34 @@ def test_decision_coefficient_values():
 
 # --- single step ----------------------------------------------------------
 
-def one_year(params, cumulative, dp3=0.0):
-    """(flow, raw) of a one-year horizon starting from `cumulative`."""
-    flow, raw = flows(params.p, params.q, params.m, params.beta, [dp3],
-                      initial=cumulative)
-    return flow[0, 0], raw[0, 0]
+def one_row(params, dp3):
+    """(flows, raw) of one parameter row over the years of `dp3`."""
+    flow, raw = flows(params.p, params.q, params.m, params.beta,
+                      np.array(dp3, dtype=float), 1)
+    return flow[:, 0].tolist(), raw[:, 0].tolist()
 
 
 def test_bass_step_innovation_only_at_launch():
     params = BassParams(p=0.03, q=0.38, m=100)
-    assert one_year(params, cumulative=0.0)[0] == pytest.approx(3.0)
+    assert one_row(params, [0.0])[0][0] == pytest.approx(3.0)
 
 
 def test_bass_step_saturated_market():
-    params = BassParams(p=0.03, q=0.38, m=100)
-    assert one_year(params, cumulative=100.0)[0] == 0.0
+    params = BassParams(p=1.0, q=0.38, m=100)
+    assert one_row(params, [0.0, 0.0])[0] == [100.0, 0.0]
 
 
 def test_bass_step_midway():
-    params = BassParams(p=0.03, q=0.38, m=100)
-    assert one_year(params, cumulative=50.0)[0] == pytest.approx(11.0)
+    params = BassParams(p=0.5, q=0.38, m=100)
+    first, second = one_row(params, [0.0, 0.0])[0]
+    assert first == 50.0
+    assert second == pytest.approx(34.5)
 
 
 def test_bass_step_clamps_negative_flow():
     params = BassParams(p=0.03, q=0.38, m=100, beta=-2.0)
     assert decision_coefficient(2.0, params.beta) == -3.0
-    flow, raw = one_year(params, 0.0, dp3=2.0)
+    (flow,), (raw,) = one_row(params, [2.0])
     assert raw < 0
     assert flow == 0.0
 
@@ -70,7 +73,7 @@ def python_recursion(p, q, m, beta, dp3):
 
 def test_flows_rows_match_one_row_calls_and_plain_floats_bitwise():
     """A row's flows do not depend on the batch it is evaluated in, and
-    equal the plain-float recursion exactly."""
+    equal the plain-float recursion exactly, as do `simulate`'s."""
     rng = np.random.default_rng(7)
     n = 257
     p = rng.uniform(1e-4, 0.02, n)
@@ -78,17 +81,26 @@ def test_flows_rows_match_one_row_calls_and_plain_floats_bitwise():
     m = rng.uniform(21_000, 150_000, n)
     beta = rng.uniform(-8.0, 2.0, n)
     dp3 = rng.uniform(-0.5, 2.0, 12)
-    batch_flows, batch_raw = flows(p, q, m, beta, dp3)
-    assert batch_flows.shape == batch_raw.shape == (n, 12)
+    batch_flows, batch_raw = flows(p, q, m, beta, dp3, n)
+    assert batch_flows.shape == batch_raw.shape == (12, n)
     assert (batch_raw < 0).any()
     for i in range(n):
-        row_flows, row_raw = flows(p[i], q[i], m[i], beta[i], dp3)
-        assert batch_flows[i].tobytes() == row_flows[0].tobytes()
-        assert batch_raw[i].tobytes() == row_raw[0].tobytes()
-        ref_flows, ref_raw = python_recursion(
-            float(p[i]), float(q[i]), float(m[i]), float(beta[i]), dp3.tolist())
-        assert batch_flows[i].tolist() == ref_flows
-        assert batch_raw[i].tolist() == ref_raw
+        row = float(p[i]), float(q[i]), float(m[i]), float(beta[i])
+        row_flows, row_raw = flows(*row, dp3, 1)
+        assert batch_flows[:, i].tobytes() == row_flows[:, 0].tobytes()
+        assert batch_raw[:, i].tobytes() == row_raw[:, 0].tobytes()
+        ref_flows, ref_raw = python_recursion(*row, dp3.tolist())
+        assert batch_flows[:, i].tolist() == ref_flows
+        assert batch_raw[:, i].tolist() == ref_raw
+    # simulate's row, on the row whose pre-clamp flow goes most negative
+    i = int(np.argmin(batch_raw.min(axis=0)))
+    params = BassParams(float(p[i]), float(q[i]), float(m[i]), float(beta[i]))
+    series = tj.PremiumSeries(points=tuple(
+        tj.PremiumPoint(2010 + k, 0.0, 0.0, float(d), 1.0, 1.0, 1.0, 1.0)
+        for k, d in enumerate(dp3)))
+    states = simulate(params, series, 2010, 12)
+    assert [s.new_adopters for s in states] == python_recursion(
+        params.p, params.q, params.m, params.beta, dp3.tolist())[0]
 
 
 # --- simulation -----------------------------------------------------------
@@ -101,11 +113,24 @@ def test_simulate_beta_zero_reduces_to_plain_model():
     assert with_series == without  # bitwise
 
 
-def test_simulate_saturated_start_is_flat():
-    params = BassParams(p=0.01, q=0.4, m=5000)
-    states = simulate(params, None, 2010, 10, initial_cumulative=5000)
-    assert all(s.new_adopters == 0.0 for s in states)
-    assert all(s.cumulative == 5000 for s in states)
+@pytest.mark.filterwarnings("error")
+def test_simulate_rejects_a_nan_flow_naming_its_year():
+    """p*(m - N) overflows to inf in 2010, where x is exactly 0: inf * 0 is NaN."""
+    series = tj.premium_series(config.load_schedule("long-range"), range(2010, 2031))
+    beta = -1 / series.lifecycle(2010)
+    assert decision_coefficient(series.lifecycle(2010), beta) == 0.0
+    with pytest.raises(ValueError, match="adoption flow is NaN in 2010"):
+        simulate(BassParams(p=2.0, q=0.0, m=1e308, beta=beta), series, 2010, 21)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_reports_an_overflowing_coefficient_before_a_nan_flow():
+    # x is 0 in 2010, where the flow would be NaN, and overflows in 2011
+    series = tj.PremiumSeries(points=(
+        tj.PremiumPoint(2010, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0),
+        tj.PremiumPoint(2011, 0.0, 0.0, 1e308, 1.0, 1.0, 1.0, 1.0)))
+    with pytest.raises(ValueError, match="decision coefficient .* not finite in 2011"):
+        simulate(BassParams(p=2.0, q=0.0, m=1e308, beta=-2.0), series, 2010, 2)
 
 
 def test_simulate_missing_premium_year_is_an_error():
