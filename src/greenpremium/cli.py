@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import secrets
 import sys
 import time
@@ -100,11 +101,14 @@ def _check_out(out: str) -> None:
         raise CliError(f"--out {out}: {exc.strerror}") from None
 
 
-def _data_lines(path: str, what: str) -> list[tuple[int, str]]:
-    """An input file's lines but blank and '#' comment ones, stripped, numbered from 1."""
+def _input_lines(path: str, what: str) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
+    """An input file's non-blank lines, stripped and numbered from 1: the
+    data lines, then the '#' comment lines."""
     text, _ = config.read_input(path, what)
-    return [(lineno, line) for lineno, raw in enumerate(text.split("\n"), start=1)
-            if (line := raw.strip()) and not line.startswith("#")]
+    lines = [(lineno, line) for lineno, raw in enumerate(text.split("\n"), start=1)
+             if (line := raw.strip())]
+    return ([(n, line) for n, line in lines if not line.startswith("#")],
+            [(n, line) for n, line in lines if line.startswith("#")])
 
 
 def load_sales_csv(path: str) -> ObservationSeries:
@@ -114,7 +118,7 @@ def load_sales_csv(path: str) -> ObservationSeries:
     here at the line of the offending row.
     """
     from .fitting import ObservationError, ObservationSeries
-    lines = _data_lines(path, "sales")
+    lines, _ = _input_lines(path, "sales")
     if lines and [c.strip() for c in lines[0][1].split(",")] != ["year", "annual_sales"]:
         raise CliError(f"{path}:{lines[0][0]}: expected header 'year,annual_sales'")
     rows = lines[1:]
@@ -136,11 +140,23 @@ def load_sales_csv(path: str) -> ObservationSeries:
         raise CliError(f"{path}:{rows[exc.index][0]}: {exc.reason}{first}") from None
 
 
-def load_params_csv(path: str) -> BassParams:
-    """Read fitted parameters back from a `fit` output file. A missing column
-    is reported at the header's line, any other fault at the data row's."""
+def load_params_csv(path: str) -> tuple[BassParams, int | None]:
+    """Read fitted parameters back from a `fit` output file, with the year its
+    `# adoption_from:` manifest line names (None without one). A missing
+    column is reported at the header's line, any other fault at the data row's."""
     from .diffusion import BassParams
-    lines = _data_lines(path, "params")
+    lines, comments = _input_lines(path, "params")
+    adoption_from = None
+    for lineno, line in comments:
+        key, _, value = line[1:].partition(":")
+        if key.strip() != "adoption_from":
+            continue
+        if adoption_from is not None:
+            raise CliError(f"{path}:{lineno}: adoption_from given twice")
+        if not re.fullmatch(r"[0-9]{1,9}", value := value.strip()):
+            raise CliError(f"{path}:{lineno}: adoption_from: expected a year, "
+                           f"got {tj.shown(value)}")
+        adoption_from = int(value)
     if len(lines) < 2:
         raise CliError(f"{path}: expected a header and one data row")
     if len(lines) > 2:
@@ -158,7 +174,7 @@ def load_params_csv(path: str) -> BassParams:
             problem = "no value" if row[name] is None else f"expected a number, got {row[name]!r}"
             raise CliError(f"{path}:{row_no}: column {name}: {problem}") from None
     try:
-        return BassParams(**values)
+        return BassParams(**values), adoption_from
     except ValueError as exc:
         raise CliError(f"{path}:{row_no}: {exc}") from None
 
@@ -273,8 +289,9 @@ def cmd_parity(args) -> None:
 
 
 def _run_fit(args, fit, with_premiums: bool = True) -> tuple:
-    """(scenario, settings, result) of `fit` run on the sales file and the
-    scenario's premium series over the sales years; a fit error names the file."""
+    """(first sales year, scenario, settings, result) of `fit` run on the sales
+    file and the scenario's premium series over the sales years; a fit error
+    names the file."""
     obs = load_sales_csv(args.data)
     sched = premiums = None
     if with_premiums:
@@ -282,7 +299,7 @@ def _run_fit(args, fit, with_premiums: bool = True) -> tuple:
         premiums = tj.premium_series(sched, range(obs.years[0], obs.years[-1] + 1))
     cfg = _fit_config(args, _resolve_seed(args))
     try:
-        return sched, cfg, fit(obs, premiums, cfg)
+        return obs.years[0], sched, cfg, fit(obs, premiums, cfg)
     except ValueError as exc:
         raise CliError(f"{args.data}: {exc}") from exc
 
@@ -290,33 +307,41 @@ def _run_fit(args, fit, with_premiums: bool = True) -> tuple:
 def cmd_fit(args) -> None:
     import numpy as np
     from .fitting import ga_fit
-    sched, cfg, result = _run_fit(args, ga_fit, with_premiums=not args.vanilla)
+    first, sched, cfg, result = _run_fit(args, ga_fit, with_premiums=not args.vanilla)
     _report_bounds("vanilla" if args.vanilla else "generalized", result)
     manifest = _manifest("fit", args.scenario, sched, seed=cfg.rng_seed,
                          model="vanilla" if args.vanilla else "generalized",
-                         data=args.data, **_fit_settings(cfg), numpy=np.__version__)
+                         data=args.data, adoption_from=first, **_fit_settings(cfg),
+                         numpy=np.__version__)
     write_csv(args.out, manifest, FIT_HEADER, [_fit_row(result)])
 
 
 def cmd_forecast(args) -> None:
-    from .diffusion import decision_coefficient, simulate
-    params = load_params_csv(args.params)
+    from .diffusion import decision_coefficients, simulate
+    params, start = load_params_csv(args.params)
     sched = config.load_schedule(args.scenario)
-    # Adoption starts in the span's first year; --from only selects rows.
-    first = min(sched.span[0], args.year_from)
-    series = tj.premium_series(sched, range(first, _years(args).stop))
+    # Adoption starts in the fit's first sales year, else in the span's first;
+    # --from only selects rows, and a row before the start has no flow.
+    if start is None:
+        start = sched.span[0]
+    elif not sched.span[0] <= start <= sched.span[1]:
+        raise CliError(f"{args.params}: adoption_from {start} outside the span "
+                       f"{sched.span[0]}..{sched.span[1]} of scenario {sched.source}")
+    years = _years(args)
+    series = tj.premium_series(sched, range(min(start, args.year_from), years.stop))
+    dp3 = series.lifecycles(series.years)
+    horizon = years.stop - start
     try:
-        states = simulate(params, series, first, len(series.years))
+        coefficients = decision_coefficients(dp3, series.years, params.beta)
+        states = simulate(params, series, start, horizon) if horizon > 0 else ()
     except ValueError as exc:
         raise CliError(f"{args.params}: {exc}") from exc
+    by_year = {s.year: (s.new_adopters, s.cumulative + s.new_adopters) for s in states}
     rows = []
-    for s in states[args.year_from - first:]:
-        dp3 = series.lifecycle(s.year)
-        rows.append([str(s.year),
-                     _fmt(s.new_adopters, EXACT_DIGITS),
-                     _fmt(s.cumulative + s.new_adopters, EXACT_DIGITS),
-                     _fmt(dp3, EXACT_DIGITS),
-                     _fmt(decision_coefficient(dp3, params.beta), EXACT_DIGITS)])
+    for year, premium, x in zip(series.years, dp3, coefficients):
+        if year in years:
+            new, total = by_year.get(year, (0.0, 0.0))
+            rows.append([str(year), *(_fmt(v, EXACT_DIGITS) for v in (new, total, premium, x))])
     manifest = _manifest("forecast", args.scenario, sched, params_file=args.params,
                          units="sales in thousand vehicles")
     write_csv(args.out, manifest,
@@ -347,7 +372,7 @@ def cmd_sensitivity(args) -> None:
 def cmd_compare(args) -> None:
     import numpy as np
     from .fitting import compare_models
-    sched, cfg, (vanilla, generalized) = _run_fit(args, compare_models)
+    first, sched, cfg, (vanilla, generalized) = _run_fit(args, compare_models)
     rows = []
     for label, res in (("vanilla", vanilla), ("generalized", generalized)):
         _report_bounds(label, res)
@@ -357,7 +382,7 @@ def cmd_compare(args) -> None:
               f"{_fmt(generalized.objective, EXACT_DIGITS)} is above the vanilla fit's "
               f"{_fmt(vanilla.objective, EXACT_DIGITS)}, which it nests", file=sys.stderr)
     manifest = _manifest("compare", args.scenario, sched, seed=cfg.rng_seed, data=args.data,
-                         **_fit_settings(cfg), numpy=np.__version__)
+                         adoption_from=first, **_fit_settings(cfg), numpy=np.__version__)
     write_csv(args.out, manifest, ["model", *FIT_HEADER], rows)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -59,6 +59,18 @@ class AdoptionState:
 def decision_coefficient(delta_p3: float, beta: float) -> float:
     """Purchase-decision multiplier driven by the lifecycle cost gap."""
     return 1.0 + delta_p3 * beta
+
+
+def decision_coefficients(premiums: Sequence[float], years: Iterable[int],
+                          beta: float) -> list[float]:
+    """The decision coefficient of each year's lifecycle premium; a ValueError
+    names the first year where it is not finite."""
+    coefficients = [decision_coefficient(premium, beta) for premium in premiums]
+    for year, x in zip(years, coefficients):
+        if not math.isfinite(x):
+            raise ValueError(f"decision coefficient 1 + premium * beta is not finite "
+                             f"in {year} (beta = {beta!r})")
+    return coefficients
 
 
 def flows(p, q, m, beta, dp3: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +118,7 @@ def simulate(params: BassParams,
         raise ValueError("horizon must be >= 1")
     years = range(start_year, start_year + horizon)
     dp3 = [0.0] * horizon if premium_by_year is None else premium_by_year.lifecycles(years)
-    for year, premium in zip(years, dp3):
-        if not math.isfinite(decision_coefficient(premium, params.beta)):
-            raise ValueError(f"decision coefficient 1 + premium * beta is not finite "
-                             f"in {year} (beta = {params.beta!r})")
+    decision_coefficients(dp3, years, params.beta)
     # An overflowing raw flow clamps to remaining or 0, unless x is 0: then it is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         flow, _ = flows(params.p, params.q, params.m, params.beta,

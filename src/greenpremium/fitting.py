@@ -196,8 +196,14 @@ def objective(params: BassParams, obs: ObservationSeries,
     Sum over observations of w(year) * (predicted - observed)^2, with
     w(year) = cfg.late_weight from LATE_WEIGHT_FROM_YEAR onward, plus
     PENALTY_WEIGHT times the squared negative part of each pre-clamp flow.
+    A loss that is NaN, from a flow of inf * 0, raises a ValueError.
     """
-    return float(_FitProblem(obs, premiums, cfg, vars(params)).evaluate(np.empty((1, 0)))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(_FitProblem(obs, premiums, cfg, vars(params)).evaluate(np.empty((1, 0)))[0])
+    if math.isnan(loss):
+        raise ValueError("objective is NaN: a flow is inf * 0, as where the flow before "
+                         "1 + premium * beta overflows and that coefficient is 0")
+    return loss
 
 
 def _breed(rng: np.random.Generator, pop: np.ndarray, fitness: np.ndarray, children: np.ndarray,

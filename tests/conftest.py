@@ -5,6 +5,12 @@ from greenpremium import trajectory as tj
 from greenpremium.cli import load_sales_csv
 
 
+def flat_series(years, lifecycle):
+    """A premium series whose lifecycle premium is `lifecycle` in every one of `years`."""
+    return tj.PremiumSeries(points=tuple(
+        tj.PremiumPoint(y, 0.0, 0.0, lifecycle, 1.0, 1.0, 1.0, 1.0) for y in years))
+
+
 @pytest.fixture(scope="session")
 def long_range():
     return config.load_schedule("long-range")

@@ -348,8 +348,60 @@ def test_scenario_command_output_matches_its_golden_file(tmp_path, command, scen
     assert out.read_bytes() == (_GOLDEN / f"{command}_{scenario}.csv").read_bytes()
 
 
+def test_forecast_of_the_seed_0_fit_matches_its_golden_file(tmp_path, monkeypatch):
+    """The default forecast of `fit --seed 0` on the shipped sales, as written
+    before fits recorded `# adoption_from:`: adoption starts in 2010 either way."""
+    monkeypatch.chdir(tmp_path)
+    sales = str(config.sample_sales_path())
+    assert run(["fit", "--data", sales, "--seed", "0", "--out", "fit.csv"]) == 0
+    assert "# adoption_from: 2010\n" in Path("fit.csv").read_text()
+    assert run(["forecast", "--params", "fit.csv", "--out", "forecast.csv"]) == 0
+    assert (Path("forecast.csv").read_bytes()
+            == (_GOLDEN / "forecast_long-range.csv").read_bytes())
+
+
+def test_forecast_starts_adoption_in_the_fits_first_sales_year(tmp_path):
+    """A fit of sales from 2012 on: forecast's rows are the fit's own
+    predictions from 2012, and the rows before 2012 have no flow."""
+    text = config.sample_sales_path().read_text()
+    sales = tmp_path / "sales_2012.csv"
+    sales.write_text("".join(l for l in text.splitlines(True)
+                             if not l.startswith(("2010,", "2011,"))))
+    fitted = run_to_file(tmp_path, "fit.csv", ["fit", "--vanilla", "--data", str(sales),
+                                               "--seed", "0"])
+    assert "# adoption_from: 2012" in fitted.read_text().splitlines()
+    rows = parse_csv(run_to_file(tmp_path, "forecast.csv", ["forecast", "--params",
+                                                            str(fitted), "--to", "2021"]))
+    obs = load_sales_csv(str(sales))
+    predicted = fitting.predictions(load_params_csv(str(fitted))[0], obs, None)
+    assert [r["predicted_annual"] for r in rows] == ["0", "0", *(f"{v:.17g}" for v in predicted)]
+    assert [r["predicted_cumulative"] for r in rows[:2]] == ["0", "0"]
+    late = parse_csv(run_to_file(tmp_path, "late.csv", ["forecast", "--params", str(fitted),
+                                                        "--from", "2015", "--to", "2021"]))
+    assert late == rows[5:]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("# adoption_from: 2009", "adoption_from 2009 outside the span 2010..2030 of scenario "),
+    ("# adoption_from: 2031", "adoption_from 2031 outside the span 2010..2030 of scenario "),
+    ("# adoption_from: x", "1: adoption_from: expected a year, got 'x'"),
+    ("# adoption_from: 2012.0", "1: adoption_from: expected a year, got '2012.0'"),
+    ("# adoption_from:", "1: adoption_from: expected a year, got ''"),
+    ("# adoption_from: " + "9" * 5000, "1: adoption_from: expected a year, got '99999"),
+    ("# adoption_from: 2012\n# adoption_from: 2012", "2: adoption_from given twice"),
+], ids=["before-span", "after-span", "word", "fraction", "empty", "5000-digits", "twice"])
+def test_forecast_rejects_a_bad_adoption_from_line(tmp_path, capsys, line, message):
+    params = tmp_path / "params.csv"
+    params.write_text(f"{line}\np,q,beta,m\n0.001,0.5,0,80000\n")
+    out = tmp_path / "forecast.csv"
+    assert run(["forecast", "--params", str(params), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {params}") and message in err and len(err) < 200
+    assert not out.exists()
+
+
 def test_forecast_from_a_later_year_selects_rows_of_the_full_run(tmp_path, capsys):
-    """Adoption starts in the scenario's first year whatever --from says; a
+    """Adoption starts in the fit's first sales year whatever --from says; a
     --from before that year still exits 1 naming the scenario file."""
     fitted = run_to_file(tmp_path, "fitted.csv",
                          ["fit", "--data", str(config.sample_sales_path()), "--seed", "0"])
@@ -485,7 +537,7 @@ def test_sales_and_params_files_with_a_byte_order_mark_load_as_the_plain_files(t
                              if not l.startswith("#")))
     marked = tmp_path / "params.csv"
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    assert load_params_csv(str(marked)) == load_params_csv(str(params))
+    assert load_params_csv(str(marked)) == (load_params_csv(str(params))[0], None)
 
 
 def test_vanilla_fit_refuses_a_window_it_cannot_simulate(tmp_path, capsys, monkeypatch):
@@ -829,6 +881,7 @@ def test_compare_command(tmp_path):
     rows = parse_csv(out)
     assert [r["model"] for r in rows] == ["vanilla", "generalized"]
     assert float(rows[0]["beta"]) == 0.0
+    assert "# adoption_from: 2010" in out.read_text().splitlines()
 
 
 @pytest.mark.parametrize("p, q, m", [("0.001", "nan", "80000"),
@@ -848,6 +901,18 @@ def test_forecast_rejects_non_finite_params(tmp_path, capsys, p, q, m):
 def test_forecast_rejects_a_beta_whose_decision_coefficient_overflows(tmp_path, capsys, beta):
     params = tmp_path / "params.csv"
     params.write_text(f"p,q,beta,m\n0.001,0.5,{beta},80000\n")
+    out = tmp_path / "forecast.csv"
+    assert run(["forecast", "--params", str(params), "--out", str(out)]) == 1
+    assert (f"{params}: decision coefficient 1 + premium * beta is not finite in 2010"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_forecast_checks_the_decision_coefficient_of_rows_before_adoption_starts(
+        tmp_path, capsys):
+    params = tmp_path / "params.csv"
+    params.write_text("# adoption_from: 2011\np,q,beta,m\n0.001,0.5,-1e308,80000\n")
     out = tmp_path / "forecast.csv"
     assert run(["forecast", "--params", str(params), "--out", str(out)]) == 1
     assert (f"{params}: decision coefficient 1 + premium * beta is not finite in 2010"
@@ -981,7 +1046,11 @@ def _params_texts(draw):
         rows.append(",".join(
             str(draw(sane[n])) if n in sane and draw(st.integers(0, 39)) >= chaos
             else draw(_real.map(str) | _junk) for n in names))
-    return "# greenpremium fit\n" + "\n".join(rows) + "\n"
+    # The fit's first sales year: in the span, or out of it, or junk.
+    manifest = ["# greenpremium fit"] + draw(st.lists(st.builds(
+        "# adoption_from: {}".format, st.integers(2010, 2030) if draw(st.integers(0, 39)) >= chaos
+        else _real.map(str) | _junk), max_size=1 if chaos < 4 else 2))
+    return "\n".join(manifest + rows) + "\n"
 
 
 @given(text=_params_texts() | st.text(max_size=200))

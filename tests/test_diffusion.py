@@ -2,17 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import flat_series
 
 from greenpremium import config
 from greenpremium import trajectory as tj
 from greenpremium.diffusion import (AdoptionState, BassParams,
                                     closed_form_cumulative,
                                     decision_coefficient, flows, simulate)
-
-
-def flat_series(years, lifecycle):
-    return tj.PremiumSeries(points=tuple(
-        tj.PremiumPoint(y, 0.0, 0.0, lifecycle, 1.0, 1.0, 1.0, 1.0) for y in years))
 
 
 # --- decision coefficient ------------------------------------------------

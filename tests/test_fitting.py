@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import flat_series
 
 from greenpremium import fitting
 from greenpremium import trajectory as tj
@@ -15,11 +16,6 @@ from greenpremium.fitting import (CROSSOVER_PROB, DEFAULT_BOUNDS, LATE_WEIGHT_FR
                                   STAGNATION_PATIENCE, STAGNATION_TOL, FitConfig, FitError,
                                   ObservationError, ObservationSeries, compare_models, ga_fit,
                                   objective, predictions, r_squared)
-
-
-def flat_series(years, lifecycle):
-    return tj.PremiumSeries(points=tuple(
-        tj.PremiumPoint(y, 0.0, 0.0, lifecycle, 1.0, 1.0, 1.0, 1.0) for y in years))
 
 
 def synthetic_obs(params, series, start, horizon):
@@ -146,6 +142,15 @@ def test_objective_rejects_a_premium_series_one_year_short(long_range, china_sal
     params = BassParams(p=0.002, q=0.4, m=21000, beta=-1.0)
     with pytest.raises(FitError, match=r"^premium series missing years \[2021\]$"):
         objective(params, china_sales, short, FitConfig())
+
+
+@pytest.mark.filterwarnings("error")
+def test_objective_raises_where_a_flow_is_nan(long_range, china_sales):
+    """p*(m - N) overflows in 2010, where this beta makes x exactly 0: inf * 0 is NaN."""
+    series = tj.premium_series(long_range, range(2010, 2022))
+    params = BassParams(p=2.0, q=0.0, m=1e308, beta=-1 / series.lifecycle(2010))
+    with pytest.raises(ValueError, match="^objective is NaN: a flow is inf \\* 0"):
+        objective(params, china_sales, series, FitConfig())
 
 
 def test_objective_rejects_a_window_longer_than_the_limit():

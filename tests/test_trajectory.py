@@ -267,10 +267,6 @@ def _bits(value):
     return type(value), repr(value)
 
 
-def _snapshot_bits(sc):
-    return [(name, _bits(getattr(sc, name))) for name in sc.__dataclass_fields__]
-
-
 def _document(name):
     """The scenario document a schedule is built from, parsed without `config.load_schedule`."""
     if name == "battery-only":
