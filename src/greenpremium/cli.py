@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every subcommand reads scenario/sales inputs, runs the corresponding library
-pipeline and writes one CSV table (stdout by default, or --out). Output files
-start with '#' comment lines carrying the run manifest: tool version,
+pipeline and returns one CSV table, which `run` writes (stdout by default, or
+--out) after '#' comment lines carrying the run manifest: tool version,
 command, config digest and seed. Timestamps are deliberately kept out of the
 output so that identical inputs and seed produce byte-identical files; they
 are logged to stderr instead.
@@ -31,7 +31,7 @@ from .costmodel import PREMIUM_KINDS
 # diffusion and fitting import numpy, so only the fit commands import them.
 if TYPE_CHECKING:
     from .diffusion import BassParams
-    from .fitting import FitConfig, FitResult, ObservationSeries
+    from .fitting import FitResult, ObservationSeries
 
 REPORT_DIGITS = 6    # report columns
 EXACT_DIGITS = 17    # fitted parameters and predictions (round-trippable)
@@ -64,9 +64,7 @@ class RunManifest:
 def _fmt(value, digits: int = REPORT_DIGITS) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.{digits}g}"
-    return str(value)
+    return f"{value:.{digits}g}"
 
 
 def write_csv(out: str | None, manifest: RunManifest, header: list[str],
@@ -203,30 +201,6 @@ def _years(args) -> range:
     return range(args.year_from, args.year_to + 1)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = secrets.randbelow(2**31)
-    print(f"seed: {seed} (chosen randomly; pass --seed {seed} to reproduce)",
-          file=sys.stderr)
-    return seed
-
-
-def _fit_config(args, seed: int) -> FitConfig:
-    from .fitting import FitConfig
-    chosen = dict(population_size=args.population, max_generations=args.generations,
-                  late_weight=args.late_weight)
-    return FitConfig(rng_seed=seed, m_value=args.m_value, early_stop=not args.no_early_stop,
-                     **{k: v for k, v in chosen.items() if v is not None})
-
-
-def _fit_settings(cfg: FitConfig) -> dict[str, object]:
-    """The settings a `fit` or `compare` manifest records, in order."""
-    return dict(population=cfg.population_size, generations=cfg.max_generations,
-                late_weight=cfg.late_weight,
-                m_mode="free" if cfg.m_value is None else "fixed")
-
-
 FIT_HEADER = ["p", "q", "beta", "m", "objective", "r_squared", "generations_run", "converged"]
 
 
@@ -246,8 +220,9 @@ def _report_bounds(model: str, result: FitResult) -> None:
 
 
 # --- subcommand implementations ------------------------------------------
+# Each returns (its scenario or None, manifest fields, CSV header, rows) to `run`.
 
-def cmd_tco(args) -> None:
+def cmd_tco(args) -> tuple:
     sched = config.load_schedule(args.scenario)
     sc, point = tj.evaluate(sched, args.year)
     rows = [
@@ -261,62 +236,73 @@ def cmd_tco(args) -> None:
         ["acquisition_premium", _fmt(point.acquisition)],
         ["lifecycle_premium", _fmt(point.lifecycle)],
     ]
-    manifest = _manifest("tco", args.scenario, sched, year=args.year,
-                         units="RMB; lcod in RMB/km; premiums are fractions")
-    write_csv(args.out, manifest, ["quantity", "value"], rows)
+    fields = dict(year=args.year, units="RMB; lcod in RMB/km; premiums are fractions")
+    return sched, fields, ["quantity", "value"], rows
 
 
-def cmd_premium_series(args) -> None:
+def cmd_premium_series(args) -> tuple:
     sched = config.load_schedule(args.scenario)
     series = tj.premium_series(sched, _years(args))
     rows = [[str(p.year), _fmt(p.production), _fmt(p.acquisition),
              _fmt(p.lifecycle), _fmt(p.lcod_ev), _fmt(p.lcod_icev)]
             for p in series.points]
-    manifest = _manifest("premium-series", args.scenario, sched,
-                         units="premiums are fractions; lcod in RMB/km")
-    write_csv(args.out, manifest,
-              ["year", "production_premium", "acquisition_premium",
-               "lifecycle_premium", "lcod_ev", "lcod_icev"], rows)
+    return (sched, dict(units="premiums are fractions; lcod in RMB/km"),
+            ["year", "production_premium", "acquisition_premium",
+             "lifecycle_premium", "lcod_ev", "lcod_icev"], rows)
 
 
-def cmd_parity(args) -> None:
+def cmd_parity(args) -> tuple:
     sched = config.load_schedule(args.scenario)
     series = tj.premium_series(sched, _years(args))
     rows = [[kind, "none" if year is None else str(year)]
             for kind, year in tj.parity_years(series).items()]
-    manifest = _manifest("parity", args.scenario, sched)
-    write_csv(args.out, manifest, ["premium", "parity_year"], rows)
+    return sched, {}, ["premium", "parity_year"], rows
 
 
 def _run_fit(args, fit, with_premiums: bool = True) -> tuple:
-    """(first sales year, scenario, settings, result) of `fit` run on the sales
-    file and the scenario's premium series over the sales years; a fit error
-    names the file."""
+    """(scenario, manifest fields every fit output shares, result) of `fit` run
+    on the sales and the scenario's premium series over the fit window, checked
+    before the scenario is read; a fit error names the sales file."""
+    import numpy as np
+    from .fitting import FitConfig, fit_window
     obs = load_sales_csv(args.data)
+    try:
+        window = fit_window(obs)
+    except ValueError as exc:
+        raise CliError(f"{args.data}: {exc}") from exc
     sched = premiums = None
     if with_premiums:
         sched = config.load_schedule(args.scenario)
-        premiums = tj.premium_series(sched, range(obs.years[0], obs.years[-1] + 1))
-    cfg = _fit_config(args, _resolve_seed(args))
+        premiums = tj.premium_series(sched, window)
+    seed = args.seed
+    if seed is None:
+        seed = secrets.randbelow(2**31)
+        print(f"seed: {seed} (chosen randomly; pass --seed {seed} to reproduce)",
+              file=sys.stderr)
+    chosen = dict(population_size=args.population, max_generations=args.generations,
+                  late_weight=args.late_weight)
+    cfg = FitConfig(rng_seed=seed, m_value=args.m_value, early_stop=not args.no_early_stop,
+                    **{k: v for k, v in chosen.items() if v is not None})
+    fields = dict(seed=seed, data=args.data, adoption_from=window.start,
+                  population=cfg.population_size, generations=cfg.max_generations,
+                  late_weight=cfg.late_weight,
+                  m_mode="free" if cfg.m_value is None else "fixed",
+                  numpy=np.__version__)
     try:
-        return obs.years[0], sched, cfg, fit(obs, premiums, cfg)
+        return sched, fields, fit(obs, premiums, cfg)
     except ValueError as exc:
         raise CliError(f"{args.data}: {exc}") from exc
 
 
-def cmd_fit(args) -> None:
-    import numpy as np
+def cmd_fit(args) -> tuple:
     from .fitting import ga_fit
-    first, sched, cfg, result = _run_fit(args, ga_fit, with_premiums=not args.vanilla)
-    _report_bounds("vanilla" if args.vanilla else "generalized", result)
-    manifest = _manifest("fit", args.scenario, sched, seed=cfg.rng_seed,
-                         model="vanilla" if args.vanilla else "generalized",
-                         data=args.data, adoption_from=first, **_fit_settings(cfg),
-                         numpy=np.__version__)
-    write_csv(args.out, manifest, FIT_HEADER, [_fit_row(result)])
+    model = "vanilla" if args.vanilla else "generalized"
+    sched, fields, result = _run_fit(args, ga_fit, with_premiums=not args.vanilla)
+    _report_bounds(model, result)
+    return sched, {"model": model, **fields}, FIT_HEADER, [_fit_row(result)]
 
 
-def cmd_forecast(args) -> None:
+def cmd_forecast(args) -> tuple:
     from .diffusion import decision_coefficients, simulate
     params, start = load_params_csv(args.params)
     sched = config.load_schedule(args.scenario)
@@ -342,14 +328,12 @@ def cmd_forecast(args) -> None:
         if year in years:
             new, total = by_year.get(year, (0.0, 0.0))
             rows.append([str(year), *(_fmt(v, EXACT_DIGITS) for v in (new, total, premium, x))])
-    manifest = _manifest("forecast", args.scenario, sched, params_file=args.params,
-                         units="sales in thousand vehicles")
-    write_csv(args.out, manifest,
-              ["year", "predicted_annual", "predicted_cumulative",
-               "lifecycle_premium", "decision_coefficient"], rows)
+    return (sched, dict(params_file=args.params, units="sales in thousand vehicles"),
+            ["year", "predicted_annual", "predicted_cumulative",
+             "lifecycle_premium", "decision_coefficient"], rows)
 
 
-def cmd_sensitivity(args) -> None:
+def cmd_sensitivity(args) -> tuple:
     sched = config.load_schedule(args.scenario)
     base = tj.resolve_scenario(sched, args.year)
     try:
@@ -360,19 +344,17 @@ def cmd_sensitivity(args) -> None:
              _fmt(r.changes[0]), _fmt(r.changes[1]), _fmt(r.changes[2]),
              _fmt(r.changes[3]), _fmt(r.coefficient)]
             for r in rows_out]
-    extra = {"target": args.target, "year": args.year}
+    fields = {"target": args.target, "year": args.year}
     for fid, msg in errors.items():
-        extra[f"skipped_{fid}"] = msg
-    manifest = _manifest("sensitivity", args.scenario, sched, **extra)
-    write_csv(args.out, manifest,
-              ["factor", "group", "base", "change_-20%", "change_-10%",
-               "change_+10%", "change_+20%", "coefficient"], rows)
+        fields[f"skipped_{fid}"] = msg
+    return (sched, fields,
+            ["factor", "group", "base", "change_-20%", "change_-10%",
+             "change_+10%", "change_+20%", "coefficient"], rows)
 
 
-def cmd_compare(args) -> None:
-    import numpy as np
+def cmd_compare(args) -> tuple:
     from .fitting import compare_models
-    first, sched, cfg, (vanilla, generalized) = _run_fit(args, compare_models)
+    sched, fields, (vanilla, generalized) = _run_fit(args, compare_models)
     rows = []
     for label, res in (("vanilla", vanilla), ("generalized", generalized)):
         _report_bounds(label, res)
@@ -381,9 +363,7 @@ def cmd_compare(args) -> None:
         print(f"warning: generalized fit: objective = "
               f"{_fmt(generalized.objective, EXACT_DIGITS)} is above the vanilla fit's "
               f"{_fmt(vanilla.objective, EXACT_DIGITS)}, which it nests", file=sys.stderr)
-    manifest = _manifest("compare", args.scenario, sched, seed=cfg.rng_seed, data=args.data,
-                         adoption_from=first, **_fit_settings(cfg), numpy=np.__version__)
-    write_csv(args.out, manifest, ["model", *FIT_HEADER], rows)
+    return sched, fields, ["model", *FIT_HEADER], rows
 
 
 # --- argument parsing -----------------------------------------------------
@@ -468,7 +448,9 @@ def run(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         _check_out(args.out)
-        args.func(args)
+        sched, fields, header, rows = args.func(args)
+        write_csv(args.out, _manifest(args.command, args.scenario, sched, **fields),
+                  header, rows)
     except ValueError as exc:   # each input error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

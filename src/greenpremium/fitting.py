@@ -132,6 +132,18 @@ class FitResult:
     at_bounds: tuple[tuple[str, str], ...] = ()
 
 
+def fit_window(obs: ObservationSeries) -> range:
+    """The years a fit of `obs` simulates: its first to its last observed year."""
+    if len(obs) == 0:
+        raise FitError("no observations")
+    years = obs.years
+    window = range(years[0], years[-1] + 1)
+    if len(window) > MAX_WINDOW_YEARS:
+        raise FitError(f"observations span {years[0]} to {years[-1]}, more than "
+                       f"the {MAX_WINDOW_YEARS} years a fit may simulate")
+    return window
+
+
 class _FitProblem:
     """What every evaluation of one fit shares, built once per fit.
 
@@ -141,13 +153,8 @@ class _FitProblem:
 
     def __init__(self, obs: ObservationSeries, premiums: PremiumSeries | None,
                  cfg: FitConfig, fixed: Mapping[str, float]) -> None:
-        if len(obs) == 0:
-            raise FitError("no observations")
         years = obs.years
-        sim_years = range(years[0], years[-1] + 1)
-        if len(sim_years) > MAX_WINDOW_YEARS:
-            raise FitError(f"observations span {years[0]} to {years[-1]}, more than "
-                           f"the {MAX_WINDOW_YEARS} years a fit may simulate")
+        sim_years = fit_window(obs)
         try:
             self.dp3 = np.array([0.0] * len(sim_years) if premiums is None
                                 else premiums.lifecycles(sim_years))
@@ -157,7 +164,7 @@ class _FitProblem:
         if premiums is None and self.fixed["beta"] != 0.0:
             raise FitError("a premium series is required to fit beta")
         self.genes = tuple(g for g in ("p", "q", "beta", "m") if g not in self.fixed)
-        self.columns = np.array([y - years[0] for y in years])
+        self.columns = np.array([y - sim_years.start for y in years])
         self.weights = np.array([cfg.late_weight if y >= LATE_WEIGHT_FROM_YEAR
                                  else 1.0 for y in years])[:, None]
         self.seen = np.array(obs.sales)[:, None]
@@ -321,9 +328,9 @@ def ga_fit(obs: ObservationSeries, premiums: PremiumSeries | None,
 def predictions(params: BassParams, obs: ObservationSeries,
                 premiums: PremiumSeries | None) -> tuple[float, ...]:
     """Fitted annual flows at the observation years."""
-    years = obs.years
-    states = simulate(params, premiums, years[0], years[-1] - years[0] + 1)
-    return tuple(states[y - years[0]].new_adopters for y in years)
+    window = fit_window(obs)
+    states = simulate(params, premiums, window.start, len(window))
+    return tuple(states[y - window.start].new_adopters for y in obs.years)
 
 
 def _sum_of_squares(observed: Sequence[float]) -> float:

@@ -132,6 +132,9 @@ def build_schedule(doc: object, source: str | None = None,
     interpolation = doc.get("interpolation", {})
     if not isinstance(interpolation, dict):
         raise ScheduleError(f"interpolation must be a mapping, got {shown(interpolation)}")
+    for key in interpolation:
+        if key != "step":
+            raise ScheduleError(f"interpolation: unknown key {shown(key)}")
     step = interpolation.get("step", [])
     if not isinstance(step, list):
         raise ScheduleError(

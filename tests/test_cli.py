@@ -308,6 +308,38 @@ def test_sensitivity_command(tmp_path):
     assert {r["factor"] for r in rows} >= {"battery_800", "tax_rate", "oil_price"}
 
 
+def test_sensitivity_names_each_skipped_factor_in_the_manifest(tmp_path, monkeypatch):
+    table = sn.sensitivity_table
+    skipped = {"credit": "credit: base premium 1.00e-13 too small to normalise",
+               "oil_price": "oil_price: base premium 0.00e+00 too small to normalise"}
+
+    def skipping(base, factors, target):
+        rows, _ = table(base, factors, target)
+        return [r for r in rows if r.factor not in skipped], skipped
+    monkeypatch.setattr(sn, "sensitivity_table", skipping)
+    out = run_to_file(tmp_path, "sens.csv", ["sensitivity", "--year", "2021"])
+    lines = out.read_text().splitlines()
+    start = lines.index("# target: lifecycle")
+    assert lines[start:start + 4] == [
+        "# target: lifecycle", "# year: 2021",
+        "# skipped_credit: credit: base premium 1.00e-13 too small to normalise",
+        "# skipped_oil_price: oil_price: base premium 0.00e+00 too small to normalise"]
+    assert {r["factor"] for r in parse_csv(out)}.isdisjoint(skipped)
+
+
+def test_tco_prints_an_integer_price_anchor_as_it_prints_a_float_one(tmp_path):
+    text = config.scenario_path("long-range").read_text()
+    outputs = []
+    for price in ("12345678", "12345678.0"):
+        path = tmp_path / f"price-{price}.yaml"
+        path.write_text(re.sub(r"\bev_price_margin: [0-9.]+", f"ev_price: {price}", text))
+        out = run_to_file(tmp_path, f"tco-{price}.csv",
+                          ["tco", "--scenario", str(path), "--year", "2010"])
+        outputs.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+    assert "ev_price,1.23457e+07" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 # SHA-256 of each scenario command's output after its `# greenpremium <version>`
 # line. These commands write 6-digit report columns and use no numpy, so the
 # digests hold across hosts; a refactor of the scenario path must keep them.
@@ -541,17 +573,22 @@ def test_sales_and_params_files_with_a_byte_order_mark_load_as_the_plain_files(t
 
 
 def test_vanilla_fit_refuses_a_window_it_cannot_simulate(tmp_path, capsys, monkeypatch):
-    evaluated = []
+    """So do `fit` and `compare`, before they price a year of the scenario."""
+    from greenpremium import costmodel as cm
+    evaluated, priced = [], []
     monkeypatch.setattr(fitting._FitProblem, "evaluate", lambda self, g: evaluated.append(g))
+    monkeypatch.setattr(cm, "tco_npv", lambda sc, kind: priced.append(kind))
     text = config.sample_sales_path().read_text()
     assert "\n2021," in text
     typo = tmp_path / "typo.csv"
     typo.write_text(text.replace("\n2021,", "\n20210,"))
     out = tmp_path / "fit.csv"
-    assert run(["fit", "--vanilla", "--data", str(typo), "--seed", "0", "--out", str(out)]) == 1
-    assert (f"error: {typo}: observations span 2010 to 20210, more than the "
-            f"{fitting.MAX_WINDOW_YEARS} years a fit may simulate") in capsys.readouterr().err
-    assert evaluated == [] and not out.exists()
+    for command in (["fit", "--vanilla"], ["fit"], ["compare"]):
+        assert run([*command, "--data", str(typo), "--seed", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {typo}: observations span 2010 to 20210, more than the "
+            f"{fitting.MAX_WINDOW_YEARS} years a fit may simulate\n")
+        assert evaluated == [] and priced == [] and not out.exists()
 
 
 def test_tco_prices_each_vehicle_once(tmp_path, monkeypatch):
@@ -575,7 +612,8 @@ def test_load_params_csv_rejects_wrong_file(tmp_path):
     ("p,q,beta,m", "0.001,abc,0.5,100", "3: column q: expected a number, got 'abc'"),
     ("p,q,m", "0.001,0.3,100", "2: not a fitted-parameters file: no column beta"),
     ("p,q,beta,m", "0,0.3,0.5,100", "3: p must be > 0"),
-], ids=["short-row", "word", "no-beta", "out-of-range"])
+    ("p,q,beta,m", "0.001,-0.3,0.5,100", "3: q must be >= 0"),
+], ids=["short-row", "word", "no-beta", "out-of-range", "q-negative"])
 def test_bad_params_file_names_the_line_and_the_column(tmp_path, capsys, header, row, message):
     params = tmp_path / "params.csv"
     params.write_text(f"# fit output\n{header}\n{row}\n")

@@ -263,6 +263,7 @@ def test_scenario_fault_is_named_in_the_tools_own_words(tmp_path, capsys, monkey
     ("lifecycle_years: 10", "lifecycle_years: 1000000000000000", "lifecycle_years: .* outside"),
     ("    - credit_price\n", "    - credit_prise\n",
      "interpolation.step: unknown schedule key 'credit_prise'"),
+    ("  step:\n", "  stpe:\n", "interpolation: unknown key 'stpe'$"),
     ("  step:\n    - ev_tax_exempt\n    - acquisition_subsidy\n    - credit_price\n"
      "    - purchase_tax_rate\n    - lifecycle_years\n", "  step: acquisition_subsidy\n",
      "interpolation.step must be a list of schedule keys, got 'acquisition_subsidy'"),
@@ -301,7 +302,8 @@ def test_scenario_fault_is_named_in_the_tools_own_words(tmp_path, capsys, monkey
     ("battery_unit_cost: 7500", "battery_unit_cost: '.5e3'",
      "entry 2010: battery_unit_cost: expected a finite number, got '.5e3'"),
 ], ids=["span-one-year", "span-scalar", "year-inf", "year-nan", "interpolation-null",
-        "discount-rate-huge", "lifecycle-years-huge", "step-misspelt-key", "step-string",
+        "discount-rate-huge", "lifecycle-years-huge", "step-misspelt-key",
+        "interpolation-unknown-key", "step-string",
         "lifecycle-years-fraction", "lifecycle-years-bool", "year-fraction", "span-fraction",
         "span-text", "battery-replacements-fraction", "flag-fraction", "flag-integer",
         "number-bool", "entries-mapping", "entries-scalar", "entry-scalar", "span-reversed",

@@ -474,6 +474,9 @@ MEMBER_CHECKS = [
     ("finance", "discount_rate", -1.0, "discount_rate"),
     ("prices", "common_base_cost", -1.0, "prices must be non-negative"),
     ("icev", "transmission_cost", -1.0, "ICEV powertrain costs"),
+    ("policy", "credit_price", -1.0, "credit_price must be >= 0"),
+    ("policy", "nev_credits_threshold", -1.0, "nev_credits_threshold must be >= 0"),
+    ("usage", "icev_residual", -1.0, "residual values must be non-negative"),
 ]
 
 

@@ -162,6 +162,8 @@ def test_objective_rejects_a_window_longer_than_the_limit():
                f"{MAX_WINDOW_YEARS} years a fit may simulate")
     with pytest.raises(FitError, match=f"^{message}$"):
         objective(params, wider, None, FitConfig())
+    with pytest.raises(FitError, match=f"^{message}$"):
+        predictions(params, wider, None)
 
 
 def test_objective_penalises_negative_raw_flows():
