@@ -67,7 +67,7 @@ def _fmt(value, digits: int = REPORT_DIGITS) -> str:
     return f"{value:.{digits}g}"
 
 
-def write_csv(out: str | None, manifest: RunManifest, header: list[str],
+def write_csv(out: str, manifest: RunManifest, header: list[str],
               rows: list[list[str]]) -> None:
     buffer = io.StringIO()
     for line in manifest.comment_lines():
@@ -76,7 +76,7 @@ def write_csv(out: str | None, manifest: RunManifest, header: list[str],
     writer.writerow(header)
     writer.writerows(rows)
     text = buffer.getvalue()
-    if out in (None, "-"):
+    if out == "-":
         sys.stdout.write(text)
         return
     try:

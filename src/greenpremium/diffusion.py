@@ -56,16 +56,11 @@ class AdoptionState:
     new_adopters: float
 
 
-def decision_coefficient(delta_p3: float, beta: float) -> float:
-    """Purchase-decision multiplier driven by the lifecycle cost gap."""
-    return 1.0 + delta_p3 * beta
-
-
 def decision_coefficients(premiums: Sequence[float], years: Iterable[int],
                           beta: float) -> list[float]:
-    """The decision coefficient of each year's lifecycle premium; a ValueError
-    names the first year where it is not finite."""
-    coefficients = [decision_coefficient(premium, beta) for premium in premiums]
+    """The purchase-decision multiplier x = 1 + premium * beta of each year's
+    lifecycle premium; a ValueError names the first year where it is not finite."""
+    coefficients = [1.0 + premium * beta for premium in premiums]
     for year, x in zip(years, coefficients):
         if not math.isfinite(x):
             raise ValueError(f"decision coefficient 1 + premium * beta is not finite "
@@ -84,7 +79,7 @@ def flows(p, q, m, beta, dp3: np.ndarray, rows: int) -> tuple[np.ndarray, np.nda
     """
     # One block, not two, so the allocator reuses it instead of mapping fresh pages.
     raw, out = np.empty((2, len(dp3), rows))
-    # Each year's x = decision_coefficient(dp3, beta) = 1 + dp3*beta, made in
+    # Each year's x = 1 + dp3*beta, as decision_coefficients writes it, made in
     # place, waits in that year's row of out until the year's flow replaces it.
     np.multiply(dp3[:, None], beta, out=out)
     out += 1.0
@@ -110,9 +105,8 @@ def simulate(params: BassParams,
              horizon: int) -> tuple[AdoptionState, ...]:
     """Run the annual recursion for `horizon` years from `start_year`.
 
-    With a premium series, each year's flow is scaled by
-    decision_coefficient(lifecycle premium, beta); the series must cover
-    every simulated year, and each coefficient and flow must be finite.
+    With a premium series covering every simulated year, each year's flow is
+    scaled by `decision_coefficients`; each coefficient and flow must be finite.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

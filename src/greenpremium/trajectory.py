@@ -271,15 +271,14 @@ class PremiumSeries:
             raise KeyError(f"year {year} not in premium series")
         return self.points[year - self.years.start]
 
-    def lifecycle(self, year: int) -> float:
-        return self.point(year).lifecycle
-
     def lifecycles(self, years: range) -> list[float]:
-        """The lifecycle premium of each year; the series must cover them all."""
-        missing = [y for y in years if y not in self.years]
-        if missing:
-            raise ValueError(f"premium series missing years {missing}")
-        return [self.lifecycle(y) for y in years]
+        """The lifecycle premiums of the consecutive `years`, all of which the series must cover."""
+        have = self.years
+        before = range(years.start, min(years.stop, have.start))
+        after = range(max(years.start, have.stop), years.stop)
+        if before or after:
+            raise ValueError(f"premium series missing years {shown([*before[:7], *after[:7]][:7])}")
+        return [p.lifecycle for p in self.points[years.start - have.start:years.stop - have.start]]
 
 
 def evaluate_year(sc: cm.VehicleScenario) -> PremiumPoint:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from greenpremium import config
@@ -9,6 +11,13 @@ def flat_series(years, lifecycle):
     """A premium series whose lifecycle premium is `lifecycle` in every one of `years`."""
     return tj.PremiumSeries(points=tuple(
         tj.PremiumPoint(y, 0.0, 0.0, lifecycle, 1.0, 1.0, 1.0, 1.0) for y in years))
+
+
+def snapshot_bits(sc):
+    """Every field of a scenario snapshot with its value's type and exact text;
+    repr round-trips floats, so equal lists mean equal bits."""
+    return [(f.name, type(getattr(sc, f.name)), repr(getattr(sc, f.name)))
+            for f in dataclasses.fields(sc)]
 
 
 @pytest.fixture(scope="session")

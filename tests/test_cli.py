@@ -962,7 +962,7 @@ def test_forecast_checks_the_decision_coefficient_of_rows_before_adoption_starts
 def test_forecast_rejects_params_whose_flow_is_nan(tmp_path, capsys):
     # p*(m - N) overflows in 2010, where this beta makes x exactly 0
     series = tj.premium_series(config.load_schedule("long-range"), range(2010, 2011))
-    beta = -1 / series.lifecycle(2010)
+    beta = -1 / series.points[0].lifecycle
     params = tmp_path / "params.csv"
     params.write_text(f"p,q,beta,m\n2.0,0.0,{beta!r},1e308\n")
     assert run(["forecast", "--params", str(params)]) == 1

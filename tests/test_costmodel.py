@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import snapshot_bits
 
 from greenpremium import costmodel as cm
 from greenpremium.costmodel import VehicleKind
@@ -427,12 +428,6 @@ def test_invalid_inputs_rejected():
 
 # --- the snapshot builder, bit for bit ----------------------------------------
 
-def _scenario_bits(sc):
-    """Every field value with its type and exact text (repr round-trips floats)."""
-    return [(f.name, type(getattr(sc, f.name)), repr(getattr(sc, f.name)))
-            for f in dataclasses.fields(sc)]
-
-
 def _sensitivity_paths():
     from greenpremium import sensitivity as sn
     paths = {}
@@ -462,7 +457,7 @@ def test_replace_field_equals_dataclasses_replace_for_every_factor(long_range, m
                 got = cm.replace_field(sc, name, value)
                 want = dataclasses.replace(sc, **{name: value})
                 assert got == want
-                assert _scenario_bits(got) == _scenario_bits(want), (name, value)
+                assert snapshot_bits(got) == snapshot_bits(want), (name, value)
 
 
 # (check group, field, value, message); a case's id names its group and field.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,15 +9,21 @@ from greenpremium import config
 from greenpremium import trajectory as tj
 from greenpremium.diffusion import (AdoptionState, BassParams,
                                     closed_form_cumulative,
-                                    decision_coefficient, flows, simulate)
+                                    decision_coefficients, flows, simulate)
 
 
 # --- decision coefficient ------------------------------------------------
 
 def test_decision_coefficient_values():
-    assert decision_coefficient(-0.15, -2.0) == pytest.approx(1.30)
-    assert decision_coefficient(0.0, -123.0) == 1.0
-    assert decision_coefficient(0.44, -2.0) == pytest.approx(0.12)
+    assert decision_coefficients([-0.15], [2010], -2.0) == [pytest.approx(1.30)]
+    assert decision_coefficients([0.0], [2010], -123.0) == [1.0]
+    assert decision_coefficients([0.44], [2010], -2.0) == [pytest.approx(0.12)]
+
+
+def test_decision_coefficients_name_the_year_of_one_that_overflows():
+    with pytest.raises(ValueError, match=r"^decision coefficient 1 \+ premium \* beta is "
+                                         r"not finite in 2012 \(beta = -2.0\)$"):
+        decision_coefficients([0.1, -0.2, 1e308, 0.3], range(2010, 2014), -2.0)
 
 
 # --- single step ----------------------------------------------------------
@@ -47,7 +54,7 @@ def test_bass_step_midway():
 
 def test_bass_step_clamps_negative_flow():
     params = BassParams(p=0.03, q=0.38, m=100, beta=-2.0)
-    assert decision_coefficient(2.0, params.beta) == -3.0
+    assert decision_coefficients([2.0], [2010], params.beta) == [-3.0]
     (flow,), (raw,) = one_row(params, [2.0])
     assert raw < 0
     assert flow == 0.0
@@ -113,8 +120,9 @@ def test_simulate_beta_zero_reduces_to_plain_model():
 def test_simulate_rejects_a_nan_flow_naming_its_year():
     """p*(m - N) overflows to inf in 2010, where x is exactly 0: inf * 0 is NaN."""
     series = tj.premium_series(config.load_schedule("long-range"), range(2010, 2031))
-    beta = -1 / series.lifecycle(2010)
-    assert decision_coefficient(series.lifecycle(2010), beta) == 0.0
+    premium = series.points[0].lifecycle    # 2010's
+    beta = -1 / premium
+    assert 1.0 + premium * beta == 0.0
     with pytest.raises(ValueError, match="adoption flow is NaN in 2010"):
         simulate(BassParams(p=2.0, q=0.0, m=1e308, beta=beta), series, 2010, 21)
 
@@ -134,6 +142,37 @@ def test_simulate_missing_premium_year_is_an_error():
     series = flat_series(range(2010, 2015), -0.1)
     with pytest.raises(ValueError, match="missing"):
         simulate(params, series, 2010, 10)
+
+
+# (series years, requested years, the missing years the error shows or None)
+LIFECYCLE_LOOKUPS = {
+    "empty-request": (range(2010, 2015), range(2012, 2012), None),
+    "equal": (range(2010, 2015), range(2010, 2015), None),
+    "inside": (range(2010, 2015), range(2011, 2013), None),
+    "before": (range(2010, 2015), range(2005, 2008), "[2005, 2006, 2007]"),
+    "after": (range(2010, 2015), range(2016, 2018), "[2016, 2017]"),
+    "straddling": (range(2010, 2015), range(2008, 2017), "[2008, 2009, 2015, 2016]"),
+    "straddling-long": (range(2010, 2015), range(2007, 2030),
+                        "[2007, 2008, 2009, 2015, 2016, 2017, ...]"),
+    "before-long": (range(2010, 2015), range(1000, 2012),
+                    "[1000, 1001, 1002, 1003, 1004, 1005, ...]"),
+    "empty-series": (range(0), range(2010, 2012), "[2010, 2011]"),
+    "empty-series-and-request": (range(0), range(2010, 2010), None),
+}
+
+
+@pytest.mark.parametrize("have, years, missing", LIFECYCLE_LOOKUPS.values(),
+                         ids=LIFECYCLE_LOOKUPS)
+def test_lifecycles_reads_a_covered_range_and_names_the_first_missing_years(
+        have, years, missing):
+    series = tj.PremiumSeries(points=tuple(
+        tj.PremiumPoint(y, 0.0, 0.0, y / 7, 1.0, 1.0, 1.0, 1.0) for y in have))
+    if missing is None:
+        assert series.lifecycles(years) == [y / 7 for y in years]
+    else:
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(f'premium series missing years {missing}')}$"):
+            series.lifecycles(years)
 
 
 def test_simulate_horizon_validation():

@@ -10,7 +10,7 @@ from conftest import flat_series
 
 from greenpremium import fitting
 from greenpremium import trajectory as tj
-from greenpremium.diffusion import BassParams, decision_coefficient, simulate
+from greenpremium.diffusion import BassParams, simulate
 from greenpremium.fitting import (CROSSOVER_PROB, DEFAULT_BOUNDS, LATE_WEIGHT_FROM_YEAR,
                                   MAX_POPULATION, MAX_WINDOW_YEARS, MUTATION_PROB, PENALTY_WEIGHT,
                                   STAGNATION_PATIENCE, STAGNATION_TOL, FitConfig, FitError,
@@ -64,10 +64,11 @@ def independent_terms(params, obs, series, cfg):
     total = 0.0
     penalty = 0.0
     cumulative = 0.0
+    lifecycle = {} if series is None else {p.year: p.lifecycle for p in series.points}
     for year in range(years[0], years[-1] + 1):
         x = 1.0
         if series is not None:
-            x = decision_coefficient(series.lifecycle(year), params.beta)
+            x = 1.0 + lifecycle[year] * params.beta
         remaining = params.m - cumulative
         raw = (params.p * remaining
                + params.q * (cumulative / params.m) * remaining) * x
@@ -144,11 +145,24 @@ def test_objective_rejects_a_premium_series_one_year_short(long_range, china_sal
         objective(params, china_sales, short, FitConfig())
 
 
+def test_a_long_premium_miss_raises_a_short_message_naming_its_first_years(lr_series):
+    """Simulating or fitting far past a 2010-2030 series names only the first missing years."""
+    first_missing = r"^premium series missing years \[2031, 2032, "
+    with pytest.raises(ValueError, match=first_missing) as simulated:
+        simulate(BassParams(0.01, 0.3, 1000.0), lr_series, 2010, 10**6)
+    assert len(str(simulated.value)) < 100
+    widest = ObservationSeries(((2010, 1.0), (2011, 2.0), (2012, 3.0),
+                                (2010 + MAX_WINDOW_YEARS - 1, 4.0)))
+    with pytest.raises(FitError, match=first_missing) as fitted:
+        ga_fit(widest, lr_series, FitConfig())
+    assert len(str(fitted.value)) < 100
+
+
 @pytest.mark.filterwarnings("error")
 def test_objective_raises_where_a_flow_is_nan(long_range, china_sales):
     """p*(m - N) overflows in 2010, where this beta makes x exactly 0: inf * 0 is NaN."""
     series = tj.premium_series(long_range, range(2010, 2022))
-    params = BassParams(p=2.0, q=0.0, m=1e308, beta=-1 / series.lifecycle(2010))
+    params = BassParams(p=2.0, q=0.0, m=1e308, beta=-1 / series.points[0].lifecycle)
     with pytest.raises(ValueError, match="^objective is NaN: a flow is inf \\* 0"):
         objective(params, china_sales, series, FitConfig())
 
@@ -368,7 +382,7 @@ def reference_flows(p, q, m, beta, dp3):
         np.multiply(q, cumulative / m, out=r)
         r *= remaining
         r += p * remaining
-        r *= decision_coefficient(dp3_t, beta)
+        r *= 1.0 + dp3_t * beta
         np.minimum(np.maximum(r, 0.0, out=f), remaining, out=f)
         cumulative += f
     return flow, raw
@@ -380,7 +394,8 @@ def reference_ga_fit(obs, premiums, cfg):
     a stacked new population."""
     years = obs.years
     sim_years = range(years[0], years[-1] + 1)
-    dp3 = [0.0 if premiums is None else premiums.lifecycle(y) for y in sim_years]
+    lifecycle = {} if premiums is None else {p.year: p.lifecycle for p in premiums.points}
+    dp3 = [0.0 if premiums is None else lifecycle[y] for y in sim_years]
     m_value = cfg.m_value
     genes = (("p", "q") + (("beta",) if premiums is not None else ())
              + (("m",) if m_value is None else ()))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 import yaml
+from conftest import snapshot_bits
 
 from greenpremium import config
 from greenpremium import costmodel as cm
@@ -342,7 +343,7 @@ def test_resolve_scenario_equals_field_by_field_resolution(name):
         got = tj.resolve_scenario(sched, year)
         want = _resolve_field_by_field(sched, doc, year)
         assert got == want
-        assert _snapshot_bits(got) == _snapshot_bits(want), year
+        assert snapshot_bits(got) == snapshot_bits(want), year
 
 
 def test_values_at_leaves_out_fields_not_yet_anchored():
@@ -384,10 +385,6 @@ def test_evaluate_returns_the_tcos_evaluate_year_used(lr_2021):
 
 # --- the snapshot builder ------------------------------------------------------
 
-def _snapshot_bits(sc):
-    return [(f.name, *_bits(getattr(sc, f.name))) for f in dataclasses.fields(sc)]
-
-
 @pytest.mark.parametrize("name", [*config.BUILTIN_SCENARIOS, "without-optional-keys"])
 def test_resolve_scenario_builds_what_the_generated_init_builds(name):
     """`cm.snapshot` fills a snapshot without VehicleScenario.__init__; every
@@ -400,7 +397,7 @@ def test_resolve_scenario_builds_what_the_generated_init_builds(name):
         sched = config.load_schedule(name)
     for year in range(sched.span[0], sched.span[1] + 1):
         built = tj.resolve_scenario(sched, year)
-        assert _snapshot_bits(built) == _snapshot_bits(
+        assert snapshot_bits(built) == snapshot_bits(
             cm.VehicleScenario(year, **sched.values_at(year))), year
 
 
